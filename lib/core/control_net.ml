@@ -1,12 +1,12 @@
 (** Control-plane message transport over the simulated network, and
     the denial-of-capability protections of §5.3.
 
-    The {!Deployment} orchestrator moves control messages between
-    CServs instantaneously, which is exactly right for the admission
-    benchmarks ("disregarding propagation delays", §6.1). This module
-    adds the network underneath for experiments about the {e delivery}
-    of control traffic: one simulated link per topology edge, with the
-    class-based queuing of Appendix B.
+    {!Deployment} runs one setup walk over two transports: a
+    synchronous one that handles each message in place ("disregarding
+    propagation delays", §6.1, as the admission benchmarks need), and
+    this module, for experiments about the {e delivery} of control
+    traffic: one simulated link per topology edge, with the class-based
+    queuing of Appendix B.
 
     It demonstrates the paper's DoC story measurably:
 

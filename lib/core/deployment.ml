@@ -102,42 +102,190 @@ let create ?(policy_for = fun _ -> Cserv.default_policy)
 
 let seg_db (t : t) = t.seg_db
 
-(* ---------------- Segment-reservation orchestration ---------------- *)
+(* ---------------- The setup walk ---------------- *)
+
+(* SegR and EER setups are one protocol (Fig. 1a/1b): a forward pass
+   of per-AS admission, a backward pass carrying the path-wide minimum
+   and collecting each hop's token or σ, and on a refusal a deny walk
+   that releases tentative state on its way back (§3.3). One walk
+   implements it over a hop transport: the synchronous one below, or
+   the simulated {!Control_net} with retries further down. *)
 
 type setup_error = { at : Ids.asn; reason : Protocol.deny_reason }
+
+(* What reaches the source: the reply hops in path order and the final
+   bandwidth, or where and why the request was refused. *)
+type outcome = (Protocol.reply_hop list * Bandwidth.t, setup_error) result
 
 let pp_setup_error ppf (e : setup_error) =
   Fmt.pf ppf "at %a: %a" Ids.pp_asn e.at Protocol.pp_deny_reason e.reason
 
-(* Walk the forward pass; on success return per-AS grants (path order),
-   on failure clean up the ASes already processed. *)
-let seg_forward (t : t) ~(req : Protocol.seg_request) ~auth :
-    (Bandwidth.t list, setup_error) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (hop : Path.hop) :: rest -> (
-        let c = cserv t hop.asn in
-        match Cserv.handle_seg_request_forward c ~req ~auth with
-        | `Continue bw -> go (bw :: acc) rest
-        | `Deny reason ->
-            (* Clean up everyone upstream of the refusal. *)
-            List.iter
-              (fun (h : Path.hop) ->
-                if not (Ids.equal_asn h.asn hop.asn) then
-                  Cserv.handle_seg_failure (cserv t h.asn) ~req)
-              (List.filteri (fun i _ -> i < List.length acc) req.path);
-            Error { at = hop.asn; reason })
-  in
-  go [] req.path
+(* How the walk's messages travel between adjacent ASes: [send] carries
+   one message along [route] and runs [deliver] on arrival (or never);
+   [up] says whether an AS's CServ processes requests right now. *)
+type transport = {
+  send : route:Ids.asn list -> bytes:int -> deliver:(unit -> unit) -> unit;
+  up : Ids.asn -> bool;
+}
 
-let seg_backward (t : t) ~(req : Protocol.seg_request) ~(final_bw : Bandwidth.t) :
-    Protocol.reply_hop list =
-  (* Reply travels destination → source (➌ in Fig. 1a); we collect in
-     path order for the initiator. *)
-  List.rev req.path
-  |> List.map (fun (hop : Path.hop) ->
-         Cserv.handle_seg_reply_backward (cserv t hop.asn) ~req ~final_bw)
-  |> List.rev
+(* One reservation request as the walk sees it: wire sizes, the
+   per-AS handlers, and [conclude], which turns the walk's outcome into
+   the caller's result at the source. *)
+type 'r request = {
+  path : Path.t;
+  req_bytes : int;
+  initial_bw : Bandwidth.t;
+  forward_at : Ids.asn -> [ `Continue of Bandwidth.t | `Deny of Protocol.deny_reason ];
+  backward_at : Ids.asn -> final_bw:Bandwidth.t -> Protocol.reply_hop;
+  failure_at : Ids.asn -> unit;
+  conclude : outcome -> ('r, string) result;
+}
+
+(* One pass of the walk. The forward pass admits at each live AS and
+   sends hop by hop; the last hop starts the backward reply walk; a
+   refusal starts the deny walk. [arrive] gets the outcome at the
+   source. A dead server swallows the message, so [arrive] may never
+   fire — over the network the retry timer is the only recovery. *)
+let walk (tr : transport) (rq : _ request) ~(arrive : outcome -> unit) : unit =
+  let reply_bytes = Protocol.reply_bytes ~hops:(Path.length rq.path) in
+  (* The reply visits the granting ASes destination → source; [acc]
+     collects reply hops ending up in path order at the source. *)
+  let rec backward acc final_bw = function
+    | [] -> ()
+    | asn :: rest ->
+        if tr.up asn then begin
+          let acc = rq.backward_at asn ~final_bw :: acc in
+          match rest with
+          | [] -> arrive (Ok (acc, final_bw))
+          | next :: _ ->
+              tr.send ~route:[ asn; next ] ~bytes:reply_bytes ~deliver:(fun () ->
+                  backward acc final_bw rest)
+        end
+  in
+  (* The deny message travels from [from] back through the ASes that
+     granted; each releases its tentative state on arrival. *)
+  let rec deny_hop ~at ~reason from = function
+    | [] -> arrive (Error { at; reason })
+    | next :: rest ->
+        tr.send ~route:[ from; next ] ~bytes:reply_bytes ~deliver:(fun () ->
+            if tr.up next then begin
+              rq.failure_at next;
+              deny_hop ~at ~reason next rest
+            end)
+  in
+  (* [visited_rev] are the granting ASes, nearest first. *)
+  let rec forward visited_rev grants = function
+    | [] -> ()
+    | asn :: rest ->
+        if tr.up asn then begin
+          match rq.forward_at asn with
+          | `Deny reason -> deny_hop ~at:asn ~reason asn visited_rev
+          | `Continue bw -> (
+              let visited_rev = asn :: visited_rev in
+              let grants = bw :: grants in
+              match rest with
+              | [] ->
+                  let final_bw = List.fold_left Bandwidth.min rq.initial_bw grants in
+                  backward [] final_bw visited_rev
+              | next :: _ ->
+                  tr.send ~route:[ asn; next ] ~bytes:rq.req_bytes ~deliver:(fun () ->
+                      forward visited_rev grants rest))
+        end
+  in
+  forward [] [] (Path.ases rq.path)
+
+(* Every on-path AS runs its cleanup; the handlers are idempotent. *)
+let release_all (rq : _ request) = List.iter rq.failure_at (Path.ases rq.path)
+
+(* Conclude at the source. A walk that granted but whose reply the
+   source rejects leaves admission state behind: tear it down. *)
+let settle (rq : 'r request) (outcome : outcome) : ('r, string) result =
+  let r = rq.conclude outcome in
+  (match (r, outcome) with Error _, Ok _ -> release_all rq | _ -> ());
+  r
+
+(* The synchronous transport: every message is delivered in place and
+   every server is up, so a walk completes within the call, advances no
+   simulated time, and needs no network — right for the admission
+   benchmarks ("disregarding propagation delays", §6.1). One attempt,
+   no retries. *)
+let synchronous =
+  { send = (fun ~route:_ ~bytes:_ ~deliver -> deliver ()); up = (fun _ -> true) }
+
+let run_synchronous (rq : 'r request) : ('r, string) result =
+  let result = ref (Error "setup walk never concluded") in
+  walk synchronous rq ~arrive:(fun outcome -> result := settle rq outcome);
+  !result
+
+(* ---------------- Reservation requests ---------------- *)
+
+(** A usable chain of SegRs from [src] to [dst]: the spliced path plus
+    the reservation keys in path order. *)
+type eer_route = { path : Path.t; segr_keys : Ids.res_key list }
+
+let segr_request ?renew (t : t) ~(path : Path.t) ~(kind : Reservation.seg_kind)
+    ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t) () :
+    (Reservation.segr request, string) result =
+  let c = cserv t (Path.source path) in
+  Cserv.make_seg_request c ~path ~kind ~max_bw ~min_bw ~renew
+  |> Result.map (fun (req, auth) ->
+         {
+           path;
+           req_bytes = Protocol.seg_request_bytes req;
+           initial_bw = max_bw;
+           forward_at =
+             (fun asn -> Cserv.handle_seg_request_forward (cserv t asn) ~req ~auth);
+           backward_at =
+             (fun asn ~final_bw ->
+               Cserv.handle_seg_reply_backward (cserv t asn) ~req ~final_bw);
+           failure_at = (fun asn -> Cserv.handle_seg_failure (cserv t asn) ~req);
+           conclude =
+             (function
+             | Error e -> Error (Fmt.str "%a" pp_setup_error e)
+             | Ok (hops, final_bw) ->
+                 Cserv.process_seg_reply c ~req
+                   ~reply:(Protocol.Granted { final_bw; hops }));
+         })
+
+(* On success the EER is installed at the source gateway (➎ in
+   Fig. 1b) before the result is returned. *)
+let eer_request ?renew (t : t) ~(route : eer_route) ~(src_host : Ids.host)
+    ~(dst_host : Ids.host) ~(bw : Bandwidth.t) () :
+    ((Reservation.eer * Reservation.version * bytes list) request, string) result =
+  let src = Path.source route.path in
+  let c = cserv t src in
+  Cserv.make_eer_request c ~path:route.path ~src_host ~dst_host ~bw
+    ~segr_keys:route.segr_keys ~renew
+  |> Result.map (fun (req, auth) ->
+         {
+           path = route.path;
+           req_bytes = Protocol.eer_request_bytes req;
+           initial_bw = bw;
+           forward_at =
+             (fun asn -> Cserv.handle_eer_request_forward (cserv t asn) ~req ~auth);
+           backward_at =
+             (fun asn ~final_bw ->
+               Cserv.handle_eer_reply_backward (cserv t asn) ~req ~final_bw);
+           failure_at = (fun asn -> Cserv.handle_eer_failure (cserv t asn) ~req);
+           conclude =
+             (function
+             | Error e ->
+                 (* A stale cached SegR is invalidated so a retry
+                    refetches (Appendix C). *)
+                 (match e.reason with
+                 | Protocol.Expired_segr k -> Cserv.invalidate_cached_segr c ~key:k
+                 | _ -> ());
+                 Error (Fmt.str "%a" pp_setup_error e)
+             | Ok (hops, final_bw) ->
+                 Result.bind
+                   (Cserv.process_eer_reply c ~req
+                      ~reply:(Protocol.Granted { final_bw; hops }))
+                   (fun (eer, version, sigmas) ->
+                     Gateway.register (gateway t src) ~eer ~version ~sigmas
+                     |> Result.map (fun () -> (eer, version, sigmas))));
+         })
+
+(* ---------------- Segment-reservation orchestration ---------------- *)
 
 (** Set up (or renew, via [renew]) a segment reservation from the first
     AS of [path]. On success the initiator's CServ holds the SegR with
@@ -145,17 +293,7 @@ let seg_backward (t : t) ~(req : Protocol.seg_request) ~(final_bw : Bandwidth.t)
 let setup_segr ?renew (t : t) ~(path : Path.t) ~(kind : Reservation.seg_kind)
     ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t) : (Reservation.segr, string) result
     =
-  let src = Path.source path in
-  let c = cserv t src in
-  match Cserv.make_seg_request c ~path ~kind ~max_bw ~min_bw ~renew with
-  | Error e -> Error e
-  | Ok (req, auth) -> (
-      match seg_forward t ~req ~auth with
-      | Error e -> Error (Fmt.str "%a" pp_setup_error e)
-      | Ok grants ->
-          let final_bw = List.fold_left Bandwidth.min max_bw grants in
-          let hops = seg_backward t ~req ~final_bw in
-          Cserv.process_seg_reply c ~req ~reply:(Protocol.Granted { final_bw; hops }))
+  Result.bind (segr_request ?renew t ~path ~kind ~max_bw ~min_bw ()) run_synchronous
 
 (** Activate the pending version of a SegR at every on-path AS and at
     the initiator (§4.2). *)
@@ -172,7 +310,6 @@ let activate_segr (t : t) ~(key : Ids.res_key) : (unit, string) result =
       match List.find_opt Result.is_error results with
       | Some (Error e) -> Error e
       | _ -> Reservation.activate segr ~now:(now t))
-  | exception Not_found -> Error "unknown SegR"
 
 (** Ask [core] (the first AS of a down segment ending at [leaf]) to set
     up a down-SegR — down-SegRs are only created upon explicit request
@@ -194,10 +331,6 @@ let request_down_segr ?(allowed = None) (t : t) ~(path : Path.t)
           Ok segr)
 
 (* ---------------- SegR lookup for EER construction ---------------- *)
-
-(** A usable chain of SegRs from [src] to [dst]: the spliced path plus
-    the reservation keys in path order. *)
-type eer_route = { path : Path.t; segr_keys : Ids.res_key list }
 
 (** Find SegR chains from [src] to [dst] following the hierarchical
     lookup of Appendix C: own up-SegRs locally; down-SegRs from the
@@ -278,64 +411,13 @@ let lookup_eer_routes (t : t) ~(src : Ids.asn) ~(dst : Ids.asn) : eer_route list
 
 (* ---------------- End-to-end-reservation orchestration ------------- *)
 
-let eer_forward (t : t) ~(req : Protocol.eer_request) ~auth :
-    (Bandwidth.t list, setup_error) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (hop : Path.hop) :: rest -> (
-        let c = cserv t hop.asn in
-        match Cserv.handle_eer_request_forward c ~req ~auth with
-        | `Continue bw -> go (bw :: acc) rest
-        | `Deny reason ->
-            List.iter
-              (fun (h : Path.hop) ->
-                if not (Ids.equal_asn h.asn hop.asn) then
-                  Cserv.handle_eer_failure (cserv t h.asn) ~req)
-              (List.filteri (fun i _ -> i < List.length acc) req.path);
-            Error { at = hop.asn; reason })
-  in
-  go [] req.path
-
-let eer_backward (t : t) ~(req : Protocol.eer_request) ~(final_bw : Bandwidth.t) :
-    Protocol.reply_hop list =
-  List.rev req.path
-  |> List.map (fun (hop : Path.hop) ->
-         Cserv.handle_eer_reply_backward (cserv t hop.asn) ~req ~final_bw)
-  |> List.rev
-
 (** Like {!setup_eer} but also returns the version and the unsealed
     hop authenticators — used by tests and by rogue-gateway attack
     scenarios that install the EER into additional gateways. *)
 let setup_eer_full ?renew (t : t) ~(route : eer_route) ~(src_host : Ids.host)
     ~(dst_host : Ids.host) ~(bw : Bandwidth.t) :
     (Reservation.eer * Reservation.version * bytes list, string) result =
-  let src = Path.source route.path in
-  let c = cserv t src in
-  match
-    Cserv.make_eer_request c ~path:route.path ~src_host ~dst_host ~bw
-      ~segr_keys:route.segr_keys ~renew
-  with
-  | Error e -> Error e
-  | Ok (req, auth) -> (
-      match eer_forward t ~req ~auth with
-      | Error e ->
-          (* A stale cached SegR is invalidated so a retry refetches
-             (Appendix C). *)
-          (match e.reason with
-          | Protocol.Expired_segr k -> Cserv.invalidate_cached_segr c ~key:k
-          | _ -> ());
-          Error (Fmt.str "%a" pp_setup_error e)
-      | Ok grants -> (
-          let final_bw = List.fold_left Bandwidth.min bw grants in
-          let hops = eer_backward t ~req ~final_bw in
-          match
-            Cserv.process_eer_reply c ~req ~reply:(Protocol.Granted { final_bw; hops })
-          with
-          | Error e -> Error e
-          | Ok (eer, version, sigmas) -> (
-              match Gateway.register (gateway t src) ~eer ~version ~sigmas with
-              | Error e -> Error e
-              | Ok () -> Ok (eer, version, sigmas))))
+  Result.bind (eer_request ?renew t ~route ~src_host ~dst_host ~bw ()) run_synchronous
 
 (** Set up (or renew) an end-to-end reservation along [route]. On
     success the reservation is installed at the source AS's gateway
@@ -364,16 +446,11 @@ let setup_eer_auto (t : t) ~(src : Ids.asn) ~(src_host : Ids.host) ~(dst : Ids.a
 
 (* ---------------- Networked control plane ---------------- *)
 
-(* Everything above this line moves control messages instantaneously —
-   right for the admission benchmarks ("disregarding propagation
-   delays", §6.1). This section runs the same per-AS handlers over the
-   simulated {!Control_net}, with loss, outages, and the
-   reliable-request machinery of {!Retry}: requests time out, back off,
-   retransmit, and on budget exhaustion the tentative admission state is
-   released through the existing [handle_*_failure] paths (the paper's
+(* The same walk over the simulated {!Control_net}, with loss, outages,
+   and {!Retry}: requests time out, back off, retransmit, and on budget
+   exhaustion release their tentative admission state (the paper's
    cleanup-by-timeout, §3.3). Handler idempotence makes at-least-once
-   delivery safe: retransmits of an admitted request are answered from
-   the recorded grant. *)
+   delivery safe: a retransmit is answered from the recorded grant. *)
 
 let attach_network ?scheduler ?delay ?faults ?(retry_policy = Retry.default_policy)
     ?(retry_seed = 0x5E77) (t : t) : unit =
@@ -418,121 +495,42 @@ let server_up (t : t) (asn : Ids.asn) : bool =
   | Some { nfaults = Some f; _ } -> Net.Fault.server_up f ~asn ~now:(now t)
   | _ -> true
 
-(* One reliable request walk: the forward pass processes at each live
-   AS and transports hop-by-hop; the last hop starts the backward
-   reply walk; a refusal starts a deny walk that releases tentative
-   state on its way back to the source. Each transmission attempt is a
-   fresh walk; [Retry.complete] arbitrates so exactly one arrival
-   concludes the request. A successful walk that loses the race after
-   the request was written off re-created admission state — it is torn
-   down on the spot (the source's teardown of an unwanted grant). *)
-let launch_walk (n : network) (t : t) ~(path : Path.t) ~(cls : Net.Traffic_class.t)
-    ~(req_bytes : int) ~(reply_bytes : int)
-    ~(forward_at :
-       Ids.asn -> [ `Continue of Bandwidth.t | `Deny of Protocol.deny_reason ])
-    ~(backward_at : Ids.asn -> final_bw:Bandwidth.t -> Protocol.reply_hop)
-    ~(failure_at : Ids.asn -> unit) ~(initial_bw : Bandwidth.t)
-    ~(conclude :
-       (Protocol.reply_hop list * Bandwidth.t, setup_error) result ->
-       ('r, string) result) ~(on_result : ('r, string) result -> unit) : unit =
-  let ases = Path.ases path in
-  let concluded = ref false in
+(* Run a request over the network. Each transmission attempt is a fresh
+   walk; [Retry.complete] arbitrates so exactly one arrival concludes
+   the request. A successful walk that loses the race after the request
+   was written off re-created admission state — it is torn down on the
+   spot (the source's teardown of an unwanted grant). *)
+let run_networked (n : network) (t : t) ~(cls : Net.Traffic_class.t)
+    (rq : 'r request) ~(on_result : ('r, string) result -> unit) : unit =
+  let tr =
+    {
+      send =
+        (fun ~route ~bytes ~deliver ->
+          Control_net.send_along n.cnet ~route ~cls ~bytes ~deliver);
+      up = server_up t;
+    }
+  in
   let succeeded = ref false in
-  let finish r =
-    if not !concluded then begin
-      concluded := true;
-      on_result r
-    end
-  in
   let handle = ref None in
-  let cleanup_all () = List.iter failure_at ases in
-  let complete_with outcome =
+  let arrive outcome =
     match !handle with
-    | None -> ()
-    | Some h ->
-        if Retry.complete n.retry h then begin
-          let r = conclude outcome in
-          (match (r, outcome) with
-          | Ok _, _ -> succeeded := true
-          | Error _, Ok _ ->
-              (* The walk granted but the source rejected the reply:
-                 tear the grant down. *)
-              cleanup_all ()
-          | Error _, Error _ -> ());
-          finish r
-        end
-        else begin
-          (* Late or duplicate arrival. If a successful walk lost the
-             race after the request was written off, it just re-created
-             admission state: tear it down. *)
-          match outcome with
-          | Ok _ when not !succeeded -> cleanup_all ()
-          | _ -> ()
-        end
-  in
-  let attempt (_attempt : int) =
-    (* Backward reply walk; [todo] holds the remaining ASes in
-       destination → source order, [acc] collects reply hops ending up
-       in path order at the source. *)
-    let rec backward acc final_bw = function
-      | [] -> ()
-      | asn :: rest ->
-          if server_up t asn then begin
-            let acc = backward_at asn ~final_bw :: acc in
-            match rest with
-            | [] -> complete_with (Ok (acc, final_bw))
-            | next :: _ ->
-                Control_net.send_along n.cnet ~route:[ asn; next ] ~cls
-                  ~bytes:reply_bytes
-                  ~deliver:(fun () -> backward acc final_bw rest)
-          end
-    in
-    (* Deny walk back to the source; [from] holds the message,
-       [upstream] are the ASes that granted, nearest first, ending at
-       the source. Each releases its tentative state on arrival. *)
-    let rec deny_hop ~at ~reason from = function
-      | [] -> complete_with (Error { at; reason })
-      | next :: rest ->
-          Control_net.send_along n.cnet ~route:[ from; next ] ~cls
-            ~bytes:reply_bytes
-            ~deliver:(fun () ->
-              if server_up t next then begin
-                failure_at next;
-                deny_hop ~at ~reason next rest
-              end)
-    in
-    (* Forward pass; [visited_rev] are the granting ASes nearest
-       first. A dead server swallows the message — the retry timer is
-       the only recovery. *)
-    let rec forward visited_rev grants = function
-      | [] -> ()
-      | asn :: rest ->
-          if server_up t asn then begin
-            match forward_at asn with
-            | `Deny reason -> deny_hop ~at:asn ~reason asn visited_rev
-            | `Continue bw -> (
-                let visited_rev = asn :: visited_rev in
-                let grants = bw :: grants in
-                match rest with
-                | [] ->
-                    let final_bw = List.fold_left Bandwidth.min initial_bw grants in
-                    backward [] final_bw visited_rev
-                | next :: _ ->
-                    Control_net.send_along n.cnet ~route:[ asn; next ] ~cls
-                      ~bytes:req_bytes
-                      ~deliver:(fun () -> forward visited_rev grants rest))
-          end
-    in
-    forward [] [] ases
+    | Some h when Retry.complete n.retry h ->
+        let r = settle rq outcome in
+        succeeded := Result.is_ok r;
+        on_result r
+    | _ -> (
+        (* A late or duplicate arrival: a grant nobody took is undone. *)
+        match outcome with Ok _ when not !succeeded -> release_all rq | _ -> ())
   in
   let h =
-    Retry.run n.retry ~send:attempt
+    Retry.run n.retry
+      ~send:(fun _attempt -> walk tr rq ~arrive)
       ~on_exhausted:(fun () ->
         (* Budget exhausted: the source cannot know which hops hold
            tentative state, so every on-path AS runs its
-           cleanup-by-timeout (§3.3). The handlers are idempotent. *)
-        cleanup_all ();
-        finish (Error "retry budget exhausted"))
+           cleanup-by-timeout (§3.3). *)
+        release_all rq;
+        on_result (Error "retry budget exhausted"))
       ()
   in
   handle := Some h
@@ -545,12 +543,11 @@ let prefetch_drkeys (n : network) (t : t) ~(src : Ids.asn) ~(ases : Ids.asn list
     ~(cls : Net.Traffic_class.t) (k : (unit, string) result -> unit) : unit =
   let cache = Cserv.drkey_cache (cserv t src) in
   let route_to target =
-    let rec take acc = function
-      | [] -> List.rev acc
-      | x :: _ when Ids.equal_asn x target -> List.rev (x :: acc)
-      | x :: xs -> take (x :: acc) xs
+    let rec take = function
+      | [] -> []
+      | x :: xs -> x :: (if Ids.equal_asn x target then [] else take xs)
     in
-    take [] ases
+    take ases
   in
   let rec next = function
     | [] -> k (Ok ())
@@ -591,102 +588,49 @@ let prefetch_drkeys (n : network) (t : t) ~(src : Ids.asn) ~(ases : Ids.asn list
   in
   next ases
 
-let protection_class ?protection ~(renewal : bool) () : Net.Traffic_class.t =
-  let p =
-    match protection with
-    | Some p -> p
-    | None ->
-        (* Renewals travel over the existing reservation (§5.3);
-           initial setups use the Appendix-B prioritization. *)
-        if renewal then Control_net.Over_reservation
-        else Control_net.Prioritized_control
+(* Renewals travel over the existing reservation (§5.3); initial
+   setups use the Appendix-B prioritization. Then: prefetch the DRKeys,
+   build the request, and run it over the network. *)
+let launch ~renewal ?protection (t : t) ~(path : Path.t)
+    (make : unit -> ('r request, string) result)
+    ~(on_result : ('r, string) result -> unit) : unit =
+  let n = network t in
+  let protection =
+    Option.value protection
+      ~default:
+        (if renewal then Control_net.Over_reservation
+         else Control_net.Prioritized_control)
   in
-  Control_net.class_of_protection p
+  let cls = Control_net.class_of_protection protection in
+  prefetch_drkeys n t ~src:(Path.source path) ~ases:(Path.ases path) ~cls (fun r ->
+      match Result.bind r make with
+      | Error e -> on_result (Error e)
+      | Ok rq -> run_networked n t ~cls rq ~on_result)
 
-(** Networked {!setup_segr}: same handlers, but every message crosses
-    the simulated links under the fault model, with retries. The result
-    arrives via [on_result] once the engine has run far enough. *)
+(* Networked {!setup_segr}: the result arrives via [on_result] once the
+   engine has run far enough. *)
 let setup_segr_net ?renew ?protection (t : t) ~(path : Path.t)
     ~(kind : Reservation.seg_kind) ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t)
     ~(on_result : (Reservation.segr, string) result -> unit) : unit =
-  let n = network t in
-  let src = Path.source path in
-  let c = cserv t src in
-  let cls = protection_class ?protection ~renewal:(Option.is_some renew) () in
-  prefetch_drkeys n t ~src ~ases:(Path.ases path) ~cls (function
-    | Error e -> on_result (Error e)
-    | Ok () -> (
-        match Cserv.make_seg_request c ~path ~kind ~max_bw ~min_bw ~renew with
-        | Error e -> on_result (Error e)
-        | Ok (req, auth) ->
-            launch_walk n t ~path ~cls
-              ~req_bytes:(Protocol.seg_request_bytes req)
-              ~reply_bytes:(Protocol.reply_bytes ~hops:(Path.length path))
-              ~forward_at:(fun asn ->
-                Cserv.handle_seg_request_forward (cserv t asn) ~req ~auth)
-              ~backward_at:(fun asn ~final_bw ->
-                Cserv.handle_seg_reply_backward (cserv t asn) ~req ~final_bw)
-              ~failure_at:(fun asn -> Cserv.handle_seg_failure (cserv t asn) ~req)
-              ~initial_bw:max_bw
-              ~conclude:(function
-                | Error e -> Error (Fmt.str "%a" pp_setup_error e)
-                | Ok (hops, final_bw) ->
-                    Cserv.process_seg_reply c ~req
-                      ~reply:(Protocol.Granted { final_bw; hops }))
-              ~on_result))
+  launch ~renewal:(Option.is_some renew) ?protection t ~path
+    (segr_request ?renew t ~path ~kind ~max_bw ~min_bw)
+    ~on_result
 
-(** Networked {!setup_eer_full}; the reservation is installed at the
-    source gateway before [on_result] fires. *)
+(** Networked {!setup_eer}; the reservation is installed at the source
+    gateway before [on_result] fires. *)
 let setup_eer_net ?renew ?protection (t : t) ~(route : eer_route)
     ~(src_host : Ids.host) ~(dst_host : Ids.host) ~(bw : Bandwidth.t)
     ~(on_result : (Reservation.eer, string) result -> unit) : unit =
-  let n = network t in
-  let src = Path.source route.path in
-  let c = cserv t src in
-  let cls = protection_class ?protection ~renewal:(Option.is_some renew) () in
-  prefetch_drkeys n t ~src ~ases:(Path.ases route.path) ~cls (function
-    | Error e -> on_result (Error e)
-    | Ok () -> (
-        match
-          Cserv.make_eer_request c ~path:route.path ~src_host ~dst_host ~bw
-            ~segr_keys:route.segr_keys ~renew
-        with
-        | Error e -> on_result (Error e)
-        | Ok (req, auth) ->
-            launch_walk n t ~path:route.path ~cls
-              ~req_bytes:(Protocol.eer_request_bytes req)
-              ~reply_bytes:(Protocol.reply_bytes ~hops:(Path.length route.path))
-              ~forward_at:(fun asn ->
-                Cserv.handle_eer_request_forward (cserv t asn) ~req ~auth)
-              ~backward_at:(fun asn ~final_bw ->
-                Cserv.handle_eer_reply_backward (cserv t asn) ~req ~final_bw)
-              ~failure_at:(fun asn -> Cserv.handle_eer_failure (cserv t asn) ~req)
-              ~initial_bw:bw
-              ~conclude:(function
-                | Error e ->
-                    (* A stale cached SegR is invalidated so a retry
-                       refetches (Appendix C). *)
-                    (match e.reason with
-                    | Protocol.Expired_segr k -> Cserv.invalidate_cached_segr c ~key:k
-                    | _ -> ());
-                    Error (Fmt.str "%a" pp_setup_error e)
-                | Ok (hops, final_bw) -> (
-                    match
-                      Cserv.process_eer_reply c ~req
-                        ~reply:(Protocol.Granted { final_bw; hops })
-                    with
-                    | Error e -> Error e
-                    | Ok (eer, version, sigmas) -> (
-                        match
-                          Gateway.register (gateway t src) ~eer ~version ~sigmas
-                        with
-                        | Error e -> Error e
-                        | Ok () -> Ok eer)))
-              ~on_result))
+  launch ~renewal:(Option.is_some renew) ?protection t ~path:route.path
+    (eer_request ?renew t ~route ~src_host ~dst_host ~bw)
+    ~on_result:(fun r -> on_result (Result.map (fun (eer, _, _) -> eer) r))
 
-(* Drive the engine until a networked operation concludes. *)
+(* Start a networked operation and drive the engine until it
+   concludes (at most [timeout] simulated seconds). *)
 let run_until_result (t : t) ~(timeout : float)
-    (result : ('a, string) result option ref) : ('a, string) result =
+    (start : ((('a, string) result -> unit) -> unit)) : ('a, string) result =
+  let result = ref None in
+  start (fun r -> result := Some r);
   let deadline = now t +. timeout in
   let rec loop () =
     match !result with
@@ -698,24 +642,20 @@ let run_until_result (t : t) ~(timeout : float)
   in
   loop ()
 
-(** Blocking convenience over {!setup_segr_net}: runs the engine until
-    the walk concludes (at most [timeout] simulated seconds). *)
+(** Blocking networked {!setup_segr}: runs the engine until the walk
+    concludes (at most [timeout] simulated seconds). *)
 let setup_segr_sync ?renew ?protection ?(timeout = 120.) (t : t) ~(path : Path.t)
     ~(kind : Reservation.seg_kind) ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t) :
     (Reservation.segr, string) result =
-  let result = ref None in
-  setup_segr_net ?renew ?protection t ~path ~kind ~max_bw ~min_bw
-    ~on_result:(fun r -> result := Some r);
-  run_until_result t ~timeout result
+  run_until_result t ~timeout (fun on_result ->
+      setup_segr_net ?renew ?protection t ~path ~kind ~max_bw ~min_bw ~on_result)
 
 (** Blocking convenience over {!setup_eer_net}. *)
 let setup_eer_sync ?renew ?protection ?(timeout = 120.) (t : t) ~(route : eer_route)
     ~(src_host : Ids.host) ~(dst_host : Ids.host) ~(bw : Bandwidth.t) :
     (Reservation.eer, string) result =
-  let result = ref None in
-  setup_eer_net ?renew ?protection t ~route ~src_host ~dst_host ~bw
-    ~on_result:(fun r -> result := Some r);
-  run_until_result t ~timeout result
+  run_until_result t ~timeout (fun on_result ->
+      setup_eer_net ?renew ?protection t ~route ~src_host ~dst_host ~bw ~on_result)
 
 (* ---------------- Renewal before expiry ---------------- *)
 
@@ -768,6 +708,25 @@ let lifetime_of (m : managed) =
   | `Segr _ -> Reservation.segr_lifetime
   | `Eer _ -> Reservation.eer_lifetime
 
+(* A networked setup of the managed reservation — a renewal over
+   [renew], or a fresh setup — reporting the resulting key. Renewals
+   leave a SegR's new version pending (§4.2); activation is
+   instantaneous here — the activation message rides the reservation
+   itself and is not part of the modeled failure surface. *)
+let setup_managed ?renew ?protection (t : t) (m : managed)
+    (on_result : (Ids.res_key, string) result -> unit) : unit =
+  match m.origin with
+  | `Segr (kind, path, max_bw, min_bw) ->
+      setup_segr_net ?renew ?protection t ~path ~kind ~max_bw ~min_bw
+        ~on_result:(fun r ->
+          on_result
+            (Result.bind r (fun (s : Reservation.segr) ->
+                 if Option.is_none renew then Ok s.key
+                 else Result.map (fun () -> s.key) (activate_segr t ~key:s.key))))
+  | `Eer (route, src_host, dst_host, bw) ->
+      setup_eer_net ?renew ?protection t ~route ~src_host ~dst_host ~bw
+        ~on_result:(fun r -> on_result (Result.map (fun (e : Reservation.eer) -> e.key) r))
+
 (* Renew over the existing reservation; on a lapse, degrade to a fresh
    best-effort setup under the new key. *)
 let rec renew_cycle (t : t) (m : managed) : unit =
@@ -782,7 +741,7 @@ let rec renew_cycle (t : t) (m : managed) : unit =
     if lapsed then degrade t m
     else
       let on_result = function
-        | Ok () ->
+        | Ok _ ->
             m.failures <- 0;
             let late =
               match old_exp with Some e -> now t >= e | None -> true
@@ -800,22 +759,7 @@ let rec renew_cycle (t : t) (m : managed) : unit =
                 (fun () -> renew_cycle t m)
             else degrade t m
       in
-      match m.origin with
-      | `Segr (kind, path, max_bw, min_bw) ->
-          setup_segr_net ~renew:m.mkey t ~path ~kind ~max_bw ~min_bw
-            ~on_result:(fun r ->
-              match r with
-              | Error e -> on_result (Error e)
-              | Ok segr ->
-                  (* Renewals leave the new version pending (§4.2);
-                     activation is instantaneous here — the activation
-                     message rides the reservation itself and is not
-                     part of the modeled failure surface. *)
-                  on_result
-                    (Result.map (fun () -> ()) (activate_segr t ~key:segr.key)))
-      | `Eer (route, src_host, dst_host, bw) ->
-          setup_eer_net ~renew:m.mkey t ~route ~src_host ~dst_host ~bw
-            ~on_result:(fun r -> on_result (Result.map (fun _ -> ()) r))
+      setup_managed ~renew:m.mkey t m on_result
   end
 
 (* The reservation lapsed: best-effort re-setup under a fresh res_id. *)
@@ -840,17 +784,7 @@ and degrade (t : t) (m : managed) : unit =
             Net.Engine.schedule t.engine ~delay:(recovery_backoff m.failures)
               (fun () -> degrade t m)
     in
-    match m.origin with
-    | `Segr (kind, path, max_bw, min_bw) ->
-        setup_segr_net ~protection:Control_net.Prioritized_control t ~path ~kind
-          ~max_bw ~min_bw
-          ~on_result:(fun r ->
-            on_result (Result.map (fun (s : Reservation.segr) -> s.key) r))
-    | `Eer (route, src_host, dst_host, bw) ->
-        setup_eer_net ~protection:Control_net.Prioritized_control t ~route
-          ~src_host ~dst_host ~bw
-          ~on_result:(fun r ->
-            on_result (Result.map (fun (e : Reservation.eer) -> e.key) r))
+    setup_managed ~protection:Control_net.Prioritized_control t m on_result
   end
 
 and schedule_next (t : t) (m : managed) : unit =

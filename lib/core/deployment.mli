@@ -53,7 +53,17 @@ val router : t -> Ids.asn -> Router.t
 val advance : t -> float -> unit
 (** Run the simulation engine forward by the given seconds. *)
 
-(** {1 Segment-reservation orchestration} *)
+(** {1 Segment-reservation orchestration}
+
+    Every setup below runs one walk: a forward pass with per-AS
+    admission, a backward pass committing the path-wide minimum and
+    collecting each hop's token or σ, and on a refusal a deny walk that
+    releases tentative state on its way back (Fig. 1a/1b, §3.3). The
+    entry points in this section and the next run it over a synchronous
+    transport: each message is handled in place and every CServ counts
+    as up, so a setup completes within the call, with one attempt and
+    no retries, advances no simulated time, and ignores any attached
+    network or fault plan. *)
 
 type setup_error = { at : Ids.asn; reason : Protocol.deny_reason }
 
@@ -136,13 +146,12 @@ val setup_eer_auto :
 
 (** {1 Networked control plane}
 
-    Everything above moves control messages instantaneously (right for
-    the admission benchmarks, §6.1). The networked variants run the
-    same per-AS handlers over the simulated {!Control_net} with fault
+    The [_net] and [_sync] variants run the same walk over the second
+    transport, the simulated {!Control_net}: link delays, fault
     injection, per-request timeouts, capped exponential backoff, and
-    bounded retry budgets ({!Retry}); on budget exhaustion the
-    tentative admission state is released through the existing failure
-    paths (cleanup-by-timeout, §3.3). *)
+    bounded retry budgets ({!Retry}). On budget exhaustion the
+    tentative admission state is released through the same failure
+    handlers (cleanup-by-timeout, §3.3). *)
 
 val attach_network :
   ?scheduler:Net.Link.scheduler ->
@@ -168,20 +177,6 @@ val server_up : t -> Ids.asn -> bool
 (** Is the AS's control service processing requests right now (fault
     injector crash windows)? Always [true] without fault injection. *)
 
-val setup_segr_net :
-  ?renew:Ids.res_key ->
-  ?protection:Control_net.protection ->
-  t ->
-  path:Path.t ->
-  kind:Reservation.seg_kind ->
-  max_bw:Bandwidth.t ->
-  min_bw:Bandwidth.t ->
-  on_result:((Reservation.segr, string) result -> unit) ->
-  unit
-(** Networked {!setup_segr}; [on_result] fires once the engine has run
-    far enough. Renewals default to {!Control_net.Over_reservation},
-    setups to {!Control_net.Prioritized_control} (§5.3). *)
-
 val setup_eer_net :
   ?renew:Ids.res_key ->
   ?protection:Control_net.protection ->
@@ -193,7 +188,9 @@ val setup_eer_net :
   on_result:((Reservation.eer, string) result -> unit) ->
   unit
 (** Networked {!setup_eer}; the reservation is installed at the source
-    gateway before [on_result] fires. *)
+    gateway before [on_result] fires once the engine has run far
+    enough. Renewals default to {!Control_net.Over_reservation}, setups
+    to {!Control_net.Prioritized_control} (§5.3). *)
 
 val setup_segr_sync :
   ?renew:Ids.res_key ->
@@ -205,8 +202,8 @@ val setup_segr_sync :
   max_bw:Bandwidth.t ->
   min_bw:Bandwidth.t ->
   (Reservation.segr, string) result
-(** Blocking convenience over {!setup_segr_net}: runs the engine until
-    the walk concludes (at most [timeout] simulated seconds). *)
+(** Networked {!setup_segr}, blocking: runs the engine until the walk
+    concludes (at most [timeout] simulated seconds). *)
 
 val setup_eer_sync :
   ?renew:Ids.res_key ->

@@ -109,6 +109,16 @@ let check_storm (r : Attack.Scenario.storm_report) =
     "  storm/%s: %.2fx amplification (%.1f vs %.1f msgs/req), budget held\n%!"
     b r.st_amplification r.st_storm_msgs_per_req r.st_clean_msgs_per_req
 
+(* MD5 of each fixed seed's suite digest, recorded so that a change
+   across commits is caught, not only a divergence between two runs in
+   one process. *)
+let pinned_md5 =
+  [
+    (1, "b91f0d4c97d1f7b428e719e06ee62e02");
+    (2, "7b7dc198259aeb4eb60b25a8ceaf29f9");
+    (3, "f87bb72fc0c2afa67c4291feddd82c00");
+  ]
+
 let () =
   let seed =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 1
@@ -123,6 +133,11 @@ let () =
   let s2 = Attack.Scenario.run_suite ~seed in
   if not (String.equal s.s_digest s2.s_digest) then
     fail "replay: suite digests diverged for seed %d" seed;
+  let md5 = Digest.to_hex (Digest.string s.s_digest) in
+  (match List.assoc_opt seed pinned_md5 with
+  | Some pinned when not (String.equal pinned md5) ->
+      fail "replay: digest changed for seed %d: pinned %s, now %s" seed pinned md5
+  | _ -> ());
   Printf.printf "  replay: byte-identical suite digest (%d bytes)\n%!"
     (String.length s.s_digest);
   Printf.printf "attack seed %d: all scenarios passed\n%!" seed

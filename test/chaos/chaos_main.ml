@@ -165,11 +165,26 @@ let chaos_run seed =
   ( String.concat "|" (List.rev !outcomes),
     Obs.to_json (Obs.Registry.snapshot (Deployment.network_metrics d)) )
 
+(* MD5 of each fixed seed's outcome trace and Obs snapshot, recorded
+   so that a change across commits is caught, not only a divergence
+   between two runs in one process. *)
+let pinned_md5 =
+  [
+    (1, "e305dfc75e29f54c18813362a9dc0d6b");
+    (2, "9c4d58441cac0e012aafdd08a005dbbc");
+    (3, "5b9279d55a72f15449741ae284f858ff");
+  ]
+
 let scenario_replay seed =
   let o1, s1 = chaos_run seed in
   let o2, s2 = chaos_run seed in
   if o1 <> o2 then fail "replay: outcome sequences diverged";
   if s1 <> s2 then fail "replay: metrics snapshots not byte-identical";
+  let md5 = Digest.to_hex (Digest.string (o1 ^ "\n" ^ s1)) in
+  (match List.assoc_opt seed pinned_md5 with
+  | Some pinned when not (String.equal pinned md5) ->
+      fail "replay: digest changed for seed %d: pinned %s, now %s" seed pinned md5
+  | _ -> ());
   Printf.printf "  replay: byte-identical outcome trace and Obs snapshot\n%!"
 
 let () =

@@ -3,7 +3,6 @@
     admission, including the transfer-AS proportional-sharing rule. *)
 
 open Colibri_types
-open Colibri
 
 let gbps = Bandwidth.of_gbps
 let mbps = Bandwidth.of_mbps
@@ -16,49 +15,49 @@ let colibri_cap = 8e9
 let asn n = Ids.asn ~isd:1 ~num:n
 let key src id : Ids.res_key = { src_as = asn src; res_id = id }
 
-let mk () = Admission.Seg.create ~capacity ~share ()
+let mk () = Backends.Ntube.Seg.create ~capacity ~share ()
 
 let admit ?(src = 1) ?(version = 1) ?(demand = gbps 1.) ?(min_bw = mbps 1.)
     ?(ingress = 1) ?(egress = 2) ?(exp_time = 300.) ?(now = 0.) t k =
-  Admission.Seg.admit t ~key:k ~version ~src:(asn src) ~ingress ~egress ~demand
+  Backends.Ntube.Seg.admit t ~key:k ~version ~src:(asn src) ~ingress ~egress ~demand
     ~min_bw ~exp_time ~now
 
 let granted_bps = function
-  | Admission.Granted bw -> Bandwidth.to_bps bw
-  | Admission.Denied _ -> Alcotest.fail "expected grant"
+  | Backends.Ntube.Granted bw -> Bandwidth.to_bps bw
+  | Backends.Ntube.Denied _ -> Alcotest.fail "expected grant"
 
 let seg_first_request_gets_demand () =
   let t = mk () in
   let g = granted_bps (admit t (key 1 1) ~demand:(gbps 1.)) in
   Alcotest.(check (float 1.)) "full demand granted" 1e9 g;
-  Alcotest.(check int) "recorded" 1 (Admission.Seg.count t)
+  Alcotest.(check int) "recorded" 1 (Backends.Ntube.Seg.count t)
 
 let seg_below_min_denied_and_stateless () =
   let t = mk () in
   (* Fill the egress almost completely. *)
   ignore (admit t (key 1 1) ~demand:(gbps 100.) ~min_bw:(mbps 1.));
-  let before = Admission.Seg.count t in
+  let before = Backends.Ntube.Seg.count t in
   match admit t (key 2 2) ~src:2 ~demand:(gbps 8.) ~min_bw:(gbps 7.9) with
-  | Admission.Granted _ -> Alcotest.fail "should be denied"
-  | Admission.Denied { available } ->
+  | Backends.Ntube.Granted _ -> Alcotest.fail "should be denied"
+  | Backends.Ntube.Denied { available } ->
       Alcotest.(check bool) "some bandwidth quoted" true
         (Bandwidth.to_bps available >= 0.);
-      Alcotest.(check int) "no state left" before (Admission.Seg.count t)
+      Alcotest.(check int) "no state left" before (Backends.Ntube.Seg.count t)
 
 let seg_sum_never_exceeds_capacity () =
   let t = mk () in
   let total = ref 0. in
   for i = 1 to 50 do
     match admit t (key i i) ~src:i ~demand:(gbps 2.) ~min_bw:(mbps 0.001) with
-    | Admission.Granted bw -> total := !total +. Bandwidth.to_bps bw
-    | Admission.Denied _ -> ()
+    | Backends.Ntube.Granted bw -> total := !total +. Bandwidth.to_bps bw
+    | Backends.Ntube.Denied _ -> ()
   done;
   Alcotest.(check bool)
     (Printf.sprintf "sum %.2e ≤ cap %.2e" !total colibri_cap)
     true
     (!total <= colibri_cap +. 1.);
   Alcotest.(check (float 1e3)) "allocated counter agrees" !total
-    (Bandwidth.to_bps (Admission.Seg.allocated_on t ~egress:2))
+    (Bandwidth.to_bps (Backends.Ntube.Seg.allocated_on t ~egress:2))
 
 let seg_botnet_size_independence () =
   (* Grants are fixed until renewal (§4.2), so fairness re-equilibrates
@@ -72,8 +71,8 @@ let seg_botnet_size_independence () =
   let attacker_total = ref 0. in
   for i = 1 to 100 do
     match admit t (key 666 i) ~src:666 ~demand:(gbps 8.) ~min_bw:(mbps 0.001) with
-    | Admission.Granted bw -> attacker_total := !attacker_total +. Bandwidth.to_bps bw
-    | Admission.Denied _ -> ()
+    | Backends.Ntube.Granted bw -> attacker_total := !attacker_total +. Bandwidth.to_bps bw
+    | Backends.Ntube.Denied _ -> ()
   done;
   Alcotest.(check bool) "flood bounded by capacity" true
     (!attacker_total <= colibri_cap +. 1.);
@@ -84,21 +83,21 @@ let seg_botnet_size_independence () =
      admit t (key 7 1000) ~src:7 ~demand:(gbps 1.) ~min_bw:(mbps 0.001)
        ~exp_time:601. ~now:301.
    with
-  | Admission.Granted bw ->
+  | Backends.Ntube.Granted bw ->
       Alcotest.(check bool) "benign served after renewal boundary" true
         (Bandwidth.to_bps bw > 0.)
-  | Admission.Denied _ -> Alcotest.fail "benign AS starved after expiry");
+  | Backends.Ntube.Denied _ -> Alcotest.fail "benign AS starved after expiry");
   (* The attacker renewing against the benign AS's standing demand now
      gets a squeezed share, not the whole link. *)
   match
     admit t (key 666 200) ~src:666 ~demand:(gbps 8.) ~min_bw:(mbps 0.001)
       ~exp_time:601. ~now:301.
   with
-  | Admission.Granted bw ->
+  | Backends.Ntube.Granted bw ->
       Alcotest.(check bool) "attacker renewal leaves benign share intact" true
         (Bandwidth.to_bps bw
         <= colibri_cap -. 1e9 +. 1.)
-  | Admission.Denied _ -> ()
+  | Backends.Ntube.Denied _ -> ()
 
 let seg_group_capped_by_ingress () =
   (* Rule 1: total demand from one ingress is limited by its capacity —
@@ -107,8 +106,8 @@ let seg_group_capped_by_ingress () =
   let sum = ref 0. in
   for i = 1 to 20 do
     match admit t (key i i) ~src:i ~demand:(gbps 10.) ~min_bw:(mbps 0.001) ~ingress:1 with
-    | Admission.Granted bw -> sum := !sum +. Bandwidth.to_bps bw
-    | Admission.Denied _ -> ()
+    | Backends.Ntube.Granted bw -> sum := !sum +. Bandwidth.to_bps bw
+    | Backends.Ntube.Denied _ -> ()
   done;
   Alcotest.(check bool) "ingress-capped" true (!sum <= colibri_cap +. 1.)
 
@@ -116,35 +115,35 @@ let seg_duplicate_version_denied () =
   let t = mk () in
   ignore (admit t (key 1 1) ~version:1);
   match admit t (key 1 1) ~version:1 with
-  | Admission.Denied _ -> ()
-  | Admission.Granted _ -> Alcotest.fail "duplicate (key, version) admitted"
+  | Backends.Ntube.Denied _ -> ()
+  | Backends.Ntube.Granted _ -> Alcotest.fail "duplicate (key, version) admitted"
 
 let seg_set_granted_shrinks () =
   let t = mk () in
   ignore (admit t (key 1 1) ~demand:(gbps 2.));
   (* Backward pass: path-wide minimum was lower. *)
-  (match Admission.Seg.set_granted t ~key:(key 1 1) ~version:1 ~granted:(gbps 1.) with
+  (match Backends.Ntube.Seg.set_granted t ~key:(key 1 1) ~version:1 ~granted:(gbps 1.) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check (float 1.)) "allocation shrunk" 1e9
-    (Bandwidth.to_bps (Admission.Seg.allocated_on t ~egress:2));
-  (match Admission.Seg.granted_of t ~key:(key 1 1) ~version:1 with
+    (Bandwidth.to_bps (Backends.Ntube.Seg.allocated_on t ~egress:2));
+  (match Backends.Ntube.Seg.granted_of t ~key:(key 1 1) ~version:1 with
   | Some bw -> Alcotest.(check (float 1.)) "entry updated" 1e9 (Bandwidth.to_bps bw)
   | None -> Alcotest.fail "entry missing");
   (* Raising is refused. *)
-  match Admission.Seg.set_granted t ~key:(key 1 1) ~version:1 ~granted:(gbps 5.) with
+  match Backends.Ntube.Seg.set_granted t ~key:(key 1 1) ~version:1 ~granted:(gbps 5.) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "raise accepted"
 
 let seg_remove_releases () =
   let t = mk () in
   ignore (admit t (key 1 1) ~demand:(gbps 8.) ~min_bw:(mbps 1.));
-  Admission.Seg.remove t ~key:(key 1 1) ~version:1;
-  Alcotest.(check int) "empty" 0 (Admission.Seg.count t);
+  Backends.Ntube.Seg.remove t ~key:(key 1 1) ~version:1;
+  Alcotest.(check int) "empty" 0 (Backends.Ntube.Seg.count t);
   Alcotest.(check (float 1e-3)) "allocation released" 0.
-    (Bandwidth.to_bps (Admission.Seg.allocated_on t ~egress:2));
+    (Bandwidth.to_bps (Backends.Ntube.Seg.allocated_on t ~egress:2));
   (* Idempotent. *)
-  Admission.Seg.remove t ~key:(key 1 1) ~version:1;
+  Backends.Ntube.Seg.remove t ~key:(key 1 1) ~version:1;
   (* Full capacity available again. *)
   let g = granted_bps (admit t (key 2 2) ~src:2 ~demand:(gbps 8.) ~min_bw:(gbps 6.)) in
   Alcotest.(check bool) "capacity recovered" true (g >= 6e9)
@@ -159,7 +158,7 @@ let seg_expiry_releases () =
          ~now:301.)
   in
   Alcotest.(check bool) "expired SegR released" true (g >= 6e9);
-  Alcotest.(check int) "swept" 1 (Admission.Seg.count t)
+  Alcotest.(check int) "swept" 1 (Backends.Ntube.Seg.count t)
 
 let seg_local_iface_unbounded () =
   (* Ingress 0 (local origin) has no ingress cap; egress still caps. *)
@@ -184,10 +183,10 @@ let prop_seg_invariant_allocated_le_capacity =
               ignore
                 (admit t k ~src ~egress ~demand:(mbps (float_of_int demand_mb))
                    ~min_bw:(mbps 0.001))
-          | _ -> Admission.Seg.remove t ~key:(key src (max 1 (!i - 5))) ~version:1);
+          | _ -> Backends.Ntube.Seg.remove t ~key:(key src (max 1 (!i - 5))) ~version:1);
           List.for_all
             (fun eg ->
-              Bandwidth.to_bps (Admission.Seg.allocated_on t ~egress:eg)
+              Bandwidth.to_bps (Backends.Ntube.Seg.allocated_on t ~egress:eg)
               <= colibri_cap +. 1.)
             [ 1; 2; 3; 4 ])
         ops)
@@ -199,77 +198,77 @@ let seg_b : Ids.res_key = { src_as = asn 200; res_id = 1 }
 
 let eer_admit ?(version = 1) ?(segrs = [ (seg_a, gbps 1.) ]) ?via_up
     ?(demand = mbps 100.) ?(exp_time = 16.) ?(now = 0.) t k =
-  Admission.Eer.admit t ~key:k ~version ~segrs ~via_up ~demand ~exp_time ~now
+  Backends.Ntube.Eer.admit t ~key:k ~version ~segrs ~via_up ~demand ~exp_time ~now
 
 let eer_fits_and_fills () =
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   (* Ten 100 Mbps EERs fit a 1 Gbps SegR; the eleventh does not. *)
   for i = 1 to 10 do
     match eer_admit t (key 1 i) with
-    | Admission.Granted _ -> ()
-    | Admission.Denied _ -> Alcotest.failf "EER %d should fit" i
+    | Backends.Ntube.Granted _ -> ()
+    | Backends.Ntube.Denied _ -> Alcotest.failf "EER %d should fit" i
   done;
   Alcotest.(check (float 1e3)) "fully allocated" 1e9
-    (Bandwidth.to_bps (Admission.Eer.allocated_over t seg_a));
+    (Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t seg_a));
   match eer_admit t (key 1 11) with
-  | Admission.Denied { available } ->
+  | Backends.Ntube.Denied { available } ->
       Alcotest.(check bool) "nothing left" true (Bandwidth.to_bps available < 1e6)
-  | Admission.Granted _ -> Alcotest.fail "over-allocation"
+  | Backends.Ntube.Granted _ -> Alcotest.fail "over-allocation"
 
 let eer_multi_segr_min () =
   (* An EER over two SegRs is constrained by the tighter one. *)
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   let segrs = [ (seg_a, gbps 1.); (seg_b, mbps 300.) ] in
   (match eer_admit t (key 1 1) ~segrs ~demand:(mbps 250.) with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "250 Mb should fit");
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "250 Mb should fit");
   match eer_admit t (key 1 2) ~segrs ~demand:(mbps 100.) with
-  | Admission.Denied { available } ->
+  | Backends.Ntube.Denied { available } ->
       Alcotest.(check bool) "limited by smaller SegR" true
         (Bandwidth.to_bps available <= 50e6 +. 1.)
-  | Admission.Granted _ -> Alcotest.fail "should exceed seg_b"
+  | Backends.Ntube.Granted _ -> Alcotest.fail "should exceed seg_b"
 
 let eer_versions_count_max () =
   (* Renewal with the same bandwidth must not double-book (§4.2):
      versions of one EER contribute their maximum. *)
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   ignore (eer_admit t (key 1 1) ~version:1 ~demand:(mbps 600.));
   (match eer_admit t (key 1 1) ~version:2 ~demand:(mbps 600.) with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "renewal at same bw must fit");
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "renewal at same bw must fit");
   Alcotest.(check (float 1e3)) "no double booking" 600e6
-    (Bandwidth.to_bps (Admission.Eer.allocated_over t seg_a));
+    (Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t seg_a));
   (* A version increase books only the delta. *)
   (match eer_admit t (key 1 1) ~version:3 ~demand:(mbps 900.) with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "delta should fit");
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "delta should fit");
   Alcotest.(check (float 1e3)) "max counted" 900e6
-    (Bandwidth.to_bps (Admission.Eer.allocated_over t seg_a))
+    (Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t seg_a))
 
 let eer_version_expiry_releases () =
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   ignore (eer_admit t (key 1 1) ~version:1 ~demand:(mbps 800.) ~exp_time:16. ~now:0.);
   (* At t=20 the version expired; new flows can use the space. *)
   match eer_admit t (key 2 2) ~version:1 ~demand:(mbps 800.) ~exp_time:36. ~now:20. with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "expired EER still booked"
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "expired EER still booked"
 
 let eer_remove_version () =
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   ignore (eer_admit t (key 1 1) ~version:1 ~demand:(mbps 800.));
-  Admission.Eer.remove_version t ~key:(key 1 1) ~version:1 ~now:0.;
+  Backends.Ntube.Eer.remove_version t ~key:(key 1 1) ~version:1 ~now:0.;
   Alcotest.(check (float 1e-3)) "released" 0.
-    (Bandwidth.to_bps (Admission.Eer.allocated_over t seg_a))
+    (Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t seg_a))
 
 let eer_transfer_proportional_sharing () =
   (* Transfer AS: two up-SegRs (1 Gbps each) compete for one 1 Gbps
      core SegR. When oversubscribed, each up-SegR gets a share
      proportional to its demand rather than first-come-takes-all. *)
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   let core : Ids.res_key = { src_as = asn 300; res_id = 9 } in
   let up1 = seg_a and up2 = seg_b in
   let admit_via up k demand =
-    Admission.Eer.admit t ~key:k ~version:1
+    Backends.Ntube.Eer.admit t ~key:k ~version:1
       ~segrs:[ (up, gbps 1.); (core, gbps 1.) ]
       ~via_up:(Some (core, up, gbps 1.))
       ~demand ~exp_time:16. ~now:0.
@@ -283,15 +282,15 @@ let eer_transfer_proportional_sharing () =
   let up2_granted = ref 0. in
   for i = 1 to 6 do
     match admit_via up2 (key 2 i) (mbps 100.) with
-    | Admission.Granted bw -> up2_granted := !up2_granted +. Bandwidth.to_bps bw
-    | Admission.Denied _ -> ()
+    | Backends.Ntube.Granted bw -> up2_granted := !up2_granted +. Bandwidth.to_bps bw
+    | Backends.Ntube.Denied _ -> ()
   done;
   Alcotest.(check bool)
     (Printf.sprintf "up2 got a positive share (%.0f Mbps)" (!up2_granted /. 1e6))
     true
     (!up2_granted > 0.);
   (* Total across both up-SegRs never exceeds the core SegR. *)
-  let total = Bandwidth.to_bps (Admission.Eer.allocated_over t core) in
+  let total = Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t core) in
   Alcotest.(check bool)
     (Printf.sprintf "core not over-allocated (%.0f Mbps)" (total /. 1e6))
     true (total <= 1e9 +. 1.)
@@ -300,18 +299,18 @@ let prop_eer_never_over_allocates =
   QCheck2.Test.make ~name:"eer admission: Σ over a SegR ≤ SegR bandwidth" ~count:50
     QCheck2.Gen.(list_size (return 100) (pair (1 -- 30) (1 -- 400)))
     (fun ops ->
-      let t = Admission.Eer.create () in
+      let t = Backends.Ntube.Eer.create () in
       let segr_bw = gbps 1. in
       let i = ref 0 in
       List.for_all
         (fun (flow, demand_mb) ->
           incr i;
           ignore
-            (Admission.Eer.admit t ~key:(key 1 flow) ~version:!i
+            (Backends.Ntube.Eer.admit t ~key:(key 1 flow) ~version:!i
                ~segrs:[ (seg_a, segr_bw) ] ~via_up:None
                ~demand:(mbps (float_of_int demand_mb))
                ~exp_time:16. ~now:0.);
-          Bandwidth.to_bps (Admission.Eer.allocated_over t seg_a) <= 1e9 +. 1.)
+          Bandwidth.to_bps (Backends.Ntube.Eer.allocated_over t seg_a) <= 1e9 +. 1.)
         ops)
 
 let suite =

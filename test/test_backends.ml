@@ -7,7 +7,6 @@
     contract. *)
 
 open Colibri_types
-open Colibri
 module Backend = Backends.Backend_intf
 
 let gbps = Bandwidth.of_gbps
@@ -240,32 +239,32 @@ let flyover_denies_oversale () =
    unknown keys AND unknown versions of known keys. *)
 
 let reference_remove_is_total () =
-  let seg = Admission.Seg.create ~capacity () in
-  Admission.Seg.remove seg ~key:(key 7 7) ~version:1;
+  let seg = Backends.Ntube.Seg.create ~capacity () in
+  Backends.Ntube.Seg.remove seg ~key:(key 7 7) ~version:1;
   (match
-     Admission.Seg.admit seg ~key:(key 1 1) ~version:1 ~src:(asn 1) ~ingress:1
+     Backends.Ntube.Seg.admit seg ~key:(key 1 1) ~version:1 ~src:(asn 1) ~ingress:1
        ~egress:2 ~demand:(mbps 100.) ~min_bw:(Bandwidth.of_kbps 1.)
        ~exp_time:300. ~now:0.
    with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "trivial SegR denied");
-  Admission.Seg.remove seg ~key:(key 1 1) ~version:2 (* unknown version *);
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "trivial SegR denied");
+  Backends.Ntube.Seg.remove seg ~key:(key 1 1) ~version:2 (* unknown version *);
   Alcotest.(check bool) "known version survives a bogus-version remove" true
-    (Admission.Seg.granted_of seg ~key:(key 1 1) ~version:1 <> None);
-  let eer = Admission.Eer.create () in
-  Admission.Eer.remove_version eer ~key:(key 7 7) ~version:1 ~now:0.;
+    (Backends.Ntube.Seg.granted_of seg ~key:(key 1 1) ~version:1 <> None);
+  let eer = Backends.Ntube.Eer.create () in
+  Backends.Ntube.Eer.remove_version eer ~key:(key 7 7) ~version:1 ~now:0.;
   (match
-     Admission.Eer.admit eer ~key:(key 1 1) ~version:1
+     Backends.Ntube.Eer.admit eer ~key:(key 1 1) ~version:1
        ~segrs:[ (key 101 1, gbps 1.) ] ~via_up:None ~demand:(mbps 5.)
        ~exp_time:16. ~now:0.
    with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "trivial EER denied");
-  Admission.Eer.remove_version eer ~key:(key 1 1) ~version:2 ~now:0.;
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "trivial EER denied");
+  Backends.Ntube.Eer.remove_version eer ~key:(key 1 1) ~version:2 ~now:0.;
   Alcotest.(check bool) "known version survives a bogus-version remove" true
-    (Admission.Eer.granted_of eer ~key:(key 1 1) ~version:1 <> None);
+    (Backends.Ntube.Eer.granted_of eer ~key:(key 1 1) ~version:1 <> None);
   Alcotest.(check string) "both audits clean" ""
-    (String.concat "; " (Admission.Seg.audit seg @ Admission.Eer.audit eer))
+    (String.concat "; " (Backends.Ntube.Seg.audit seg @ Backends.Ntube.Eer.audit eer))
 
 (* ---------- Backend-labeled Obs families stay allocation-free ------ *)
 

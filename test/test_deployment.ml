@@ -1,7 +1,8 @@
 (** Integration tests over the full deployment: route lookup, EER
     setup over one/two/three SegRs, seamless EER renewal, SegR version
-    switch under live EERs, path choice on failure, and stale-cache
-    invalidation (Appendix C). *)
+    switch under live EERs, path choice on failure, stale-cache
+    invalidation (Appendix C), and the isolation of the instantaneous
+    setups from an attached network. *)
 
 open Colibri_types
 open Colibri_topology
@@ -313,8 +314,63 @@ let renewal_renegotiates_bandwidth () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "strict setup should not be partial"
 
+(* The instantaneous entry points run over the synchronous transport:
+   an attached network that loses everything, plus a crashed CServ on
+   the path, must neither stop them nor see a single message or retry,
+   and they advance no simulated time. The networked entry point on the
+   same deployment meets the faults, is refused, and leaks nothing. *)
+let instantaneous_setups_ignore_the_network () =
+  let n = 4 in
+  let d = Deployment.create (Topology_gen.linear ~n ~capacity:(gbps 10.)) in
+  let faults = Net.Fault.create ~seed:5 () in
+  Net.Fault.set_default faults (Net.Fault.plan ~loss:1.0 ());
+  Net.Fault.crash_server faults ~asn:(Ids.asn ~isd:1 ~num:2) ~at:0. ~duration:1000.;
+  Deployment.attach_network ~faults d;
+  let counter name =
+    match
+      List.assoc_opt name (Obs.Registry.snapshot (Deployment.network_metrics d))
+    with
+    | Some (Obs.Counter v) -> v
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  let quiet what =
+    Alcotest.(check int) (what ^ ": no message sent") 0
+      (counter "control_net_messages_sent_total");
+    Alcotest.(check int) (what ^ ": no retry request") 0 (counter "retry_requests_total")
+  in
+  let path = Topology_gen.linear_path ~n in
+  let t0 = Deployment.now d in
+  let segr =
+    match
+      Deployment.setup_segr d ~path ~kind:Reservation.Core ~max_bw:(gbps 1.)
+        ~min_bw:(mbps 1.)
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "setup_segr refused: %s" e
+  in
+  Alcotest.(check (float 0.)) "setup_segr advances no time" t0 (Deployment.now d);
+  quiet "setup_segr";
+  (match
+     Deployment.setup_eer d
+       ~route:{ path; segr_keys = [ segr.key ] }
+       ~src_host:(Ids.host 1) ~dst_host:(Ids.host 2) ~bw:(mbps 10.)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "setup_eer refused: %s" e);
+  Alcotest.(check (float 0.)) "setup_eer advances no time" t0 (Deployment.now d);
+  quiet "setup_eer";
+  (match
+     Deployment.setup_segr_sync d ~path ~kind:Reservation.Core ~max_bw:(gbps 1.)
+       ~min_bw:(mbps 1.)
+   with
+  | Ok _ -> Alcotest.fail "setup_segr_sync granted through a dead network"
+  | Error _ -> ());
+  Alcotest.(check (list string)) "no leaked admission state" [] (Deployment.audit_all d)
+
 let suite =
   [
+    Alcotest.test_case "instantaneous setups ignore the network" `Quick
+      instantaneous_setups_ignore_the_network;
     Alcotest.test_case "route lookup spans three SegRs" `Quick route_lookup_spans_three_segrs;
     Alcotest.test_case "renewal renegotiates bandwidth (§4.2)" `Quick renewal_renegotiates_bandwidth;
     Alcotest.test_case "EER over a single SegR" `Quick eer_over_single_segr;

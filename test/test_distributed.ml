@@ -13,10 +13,10 @@ let capacity _ = gbps 10.
 
 let segr_of ingress id : Ids.res_key = { src_as = asn (100 + ingress); res_id = id }
 
-(* Mirror a workload into a monolithic Admission.Eer and a Distributed
+(* Mirror a workload into a monolithic Backends.Ntube.Eer and a Distributed
    service; decisions must coincide. *)
 let decisions_match () =
-  let mono = Admission.Eer.create () in
+  let mono = Backends.Ntube.Eer.create () in
   let dist = Distributed.create ~capacity () in
   let rng = Random.State.make [| 5 |] in
   let mismatches = ref 0 in
@@ -26,7 +26,7 @@ let decisions_match () =
     let flow = key (Random.State.int rng 50) i in
     let demand = mbps (1. +. Random.State.float rng 99.) in
     let m =
-      Admission.Eer.admit mono ~key:flow ~version:1 ~segrs:[ (segr, gbps 1.) ]
+      Backends.Ntube.Eer.admit mono ~key:flow ~version:1 ~segrs:[ (segr, gbps 1.) ]
         ~via_up:None ~demand ~exp_time:16. ~now:0.
     in
     let d =
@@ -35,8 +35,8 @@ let decisions_match () =
     in
     let same =
       match (m, d) with
-      | Admission.Granted a, Admission.Granted b -> Bandwidth.equal a b
-      | Admission.Denied _, Admission.Denied _ -> true
+      | Backends.Ntube.Granted a, Backends.Ntube.Granted b -> Bandwidth.equal a b
+      | Backends.Ntube.Denied _, Backends.Ntube.Denied _ -> true
       | _ -> false
     in
     if not same then incr mismatches
@@ -78,8 +78,8 @@ let same_segr_pinned_to_one_service () =
       ~via_up:None ~segr_ingress:2 (* lying/ambiguous ingress *)
       ~demand:(mbps 60.) ~exp_time:16. ~now:0.
   with
-  | Admission.Denied _ -> ()
-  | Admission.Granted _ -> Alcotest.fail "accounting split across sub-services"
+  | Backends.Ntube.Denied _ -> ()
+  | Backends.Ntube.Granted _ -> Alcotest.fail "accounting split across sub-services"
 
 let coordinator_handles_segreqs () =
   let dist = Distributed.create ~capacity () in
@@ -96,8 +96,8 @@ let coordinator_handles_segreqs () =
     }
   in
   match Distributed.admit_seg dist ~req ~now:0. with
-  | Admission.Granted _ -> ()
-  | Admission.Denied _ -> Alcotest.fail "coordinator refused a trivial SegR"
+  | Backends.Ntube.Granted _ -> ()
+  | Backends.Ntube.Denied _ -> Alcotest.fail "coordinator refused a trivial SegR"
 
 (* ---------- Data-plane sharding ---------- *)
 
