@@ -2,14 +2,15 @@
 
     Colibri needs AES only as a pseudo-random permutation underneath
     CMAC (hop-validation-field MACs, DRKey PRF) and CTR-mode AEAD, all
-    of which use the forward direction exclusively. Validated against
-    the FIPS-197 and SP 800-38A vectors in the test suite. *)
+    of which use the forward direction exclusively. A word-oriented
+    T-table kernel, validated against the FIPS-197 and SP 800-38A
+    vectors and a byte-oriented reference in the test suite. *)
 
 type key
-(** An expanded key schedule (11 round keys) plus the block-state
-    scratch {!encrypt_block} works in. Because the scratch is shared, a
-    [key] value must not be used from two domains concurrently; give
-    each domain its own expansion. *)
+(** An expanded key schedule (11 round keys as 44 words).
+    {!encrypt_block} only reads it, but {!rekey} rewrites it in place,
+    so a [key] value that is re-keyed must not be used from two domains
+    concurrently; give each domain its own expansion. *)
 
 val block_size : int
 (** 16 bytes. *)

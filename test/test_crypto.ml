@@ -1,6 +1,8 @@
 (** Tests for the crypto substrate: AES-128 against FIPS-197 /
     SP 800-38A vectors, AES-CMAC against RFC 4493, AEAD round-trips and
-    tamper detection, plus property-based checks. *)
+    tamper detection, a differential check of the word-oriented kernel
+    against the byte-oriented reference in [Aes_ref]/[Cmac_ref]/
+    [Aead_ref], allocation pins, plus property-based checks. *)
 
 open Crypto
 
@@ -158,6 +160,125 @@ let prop_hex_roundtrip =
   QCheck2.Test.make ~name:"hex: roundtrip" ~count:200 bytes_gen (fun b ->
       Bytes.equal (Hex.to_bytes (Hex.of_bytes b)) b)
 
+(* Differential: word-oriented kernel vs the byte-oriented reference.
+   Every case draws its own random bytes from a seed, so a failure
+   prints a reproducible seed. *)
+
+let rand_bytes rng n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+let seed_gen = QCheck2.Gen.int_bound 0x3fffffff
+
+let prop_aes_diff =
+  QCheck2.Test.make ~name:"aes: block = reference (random offsets, aliasing)"
+    ~count:1000 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let secret = rand_bytes rng 16 in
+      let k = Aes.of_secret secret and r = Aes_ref.of_secret secret in
+      let buf = rand_bytes rng 48 in
+      let src_off = Random.State.int rng 33 and dst_off = Random.State.int rng 33 in
+      (* Separate destinations. *)
+      let d1 = Bytes.make 48 '\000' and d2 = Bytes.make 48 '\000' in
+      Aes.encrypt_block k ~src:buf ~src_off ~dst:d1 ~dst_off;
+      Aes_ref.encrypt_block r ~src:buf ~src_off ~dst:d2 ~dst_off;
+      (* [src] and [dst] the same buffer, possibly overlapping. *)
+      let a1 = Bytes.copy buf and a2 = Bytes.copy buf in
+      Aes.encrypt_block k ~src:a1 ~src_off ~dst:a1 ~dst_off;
+      Aes_ref.encrypt_block r ~src:a2 ~src_off ~dst:a2 ~dst_off;
+      Bytes.equal d1 d2 && Bytes.equal a1 a2)
+
+let prop_rekey_diff =
+  QCheck2.Test.make ~name:"aes/cmac: rekey at random offsets = reference"
+    ~count:500 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let k = Aes.of_secret (rand_bytes rng 16) in
+      let c = Cmac.of_secret (rand_bytes rng 16) in
+      let buf = rand_bytes rng 64 in
+      let off = Random.State.int rng 49 in
+      Aes.rekey k buf ~off;
+      Cmac.rekey c buf ~off;
+      let secret = Bytes.sub buf off 16 in
+      let r = Aes_ref.of_secret secret and cr = Cmac_ref.of_secret secret in
+      let block = rand_bytes rng 16 and msg = rand_bytes rng 40 in
+      Bytes.equal (Aes.encrypt k block) (Aes_ref.encrypt r block)
+      && Bytes.equal (Cmac.digest c msg) (Cmac_ref.digest cr msg))
+
+let prop_cmac_diff =
+  QCheck2.Test.make
+    ~name:"cmac: digest/_into/_trunc_into/verify_at = reference, len 0-100"
+    ~count:1000 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let secret = rand_bytes rng 16 in
+      let k = Cmac.of_secret secret and r = Cmac_ref.of_secret secret in
+      let len = Random.State.int rng 101 and off = Random.State.int rng 20 in
+      let buf = rand_bytes rng (off + len + Random.State.int rng 20) in
+      let msg = Bytes.sub buf off len in
+      let full = Cmac_ref.digest r msg in
+      let dst_off = Random.State.int rng 8 in
+      let d1 = Bytes.make 24 '\000' and d2 = Bytes.make 24 '\000' in
+      Cmac.digest_into k buf ~off ~len ~dst:d1 ~dst_off;
+      Cmac_ref.digest_into r buf ~off ~len ~dst:d2 ~dst_off;
+      let tag_len = 1 + Random.State.int rng 16 in
+      let t1 = Bytes.make 24 '\000' and t2 = Bytes.make 24 '\000' in
+      Cmac.digest_trunc_into k buf ~off ~len ~dst:t1 ~dst_off ~tag_len;
+      Cmac_ref.digest_trunc_into r buf ~off ~len ~dst:t2 ~dst_off ~tag_len;
+      let tag = Bytes.cat (rand_bytes rng dst_off) full in
+      let bad = Bytes.copy tag in
+      let flip = dst_off + Random.State.int rng tag_len in
+      Bytes.set bad flip (Char.chr (Char.code (Bytes.get bad flip) lxor 1));
+      let verdict t =
+        ( Cmac.verify_at k buf ~off ~len ~tag:t ~tag_off:dst_off ~tag_len,
+          Cmac_ref.verify_at r buf ~off ~len ~tag:t ~tag_off:dst_off ~tag_len )
+      in
+      Bytes.equal (Cmac.digest k msg) full
+      && Bytes.equal d1 d2 && Bytes.equal t1 t2
+      && verdict tag = (true, true)
+      && verdict bad = (false, false))
+
+let prop_aead_prf_diff =
+  QCheck2.Test.make ~name:"aead/prf: seal, open_ and derive = reference"
+    ~count:300 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let secret = rand_bytes rng 16 and nonce = rand_bytes rng 16 in
+      let ad = rand_bytes rng (Random.State.int rng 40) in
+      let plain = rand_bytes rng (Random.State.int rng 100) in
+      let k = Aead.of_secret secret and r = Aead_ref.of_secret secret in
+      let sealed = Aead.seal k ~nonce ~ad plain in
+      let input = rand_bytes rng (Random.State.int rng 64) in
+      Bytes.equal sealed (Aead_ref.seal r ~nonce ~ad plain)
+      && Option.equal Bytes.equal (Aead.open_ k ~nonce ~ad sealed) (Some plain)
+      && Option.equal Bytes.equal
+           (Aead_ref.open_ r ~nonce ~ad sealed)
+           (Some plain)
+      && Bytes.equal
+           (Prf.derive (Prf.of_secret secret) input)
+           (Cmac_ref.digest (Cmac_ref.of_secret secret) input))
+
+(* The wire path's MAC kernels allocate nothing: the router re-keys and
+   runs a CMAC per packet. Same pin style as test_view.ml. *)
+let kernels_zero_alloc () =
+  let aes = Aes.of_secret (Bytes.make 16 'a') in
+  let cmac = Cmac.of_secret (Bytes.make 16 'c') in
+  let buf = Bytes.init 64 (fun i -> Char.chr i) and out = Bytes.make 16 '\000' in
+  let pin what f =
+    for _ = 1 to 1_000 do
+      f ()
+    done;
+    let before = Gc.minor_words () in
+    let n = 10_000 in
+    for _ = 1 to n do
+      f ()
+    done;
+    let delta = Gc.minor_words () -. before in
+    (* Slack covers only the boxed floats of the two [Gc.minor_words]
+       reads; 10k calls at even 1 word each would blow far past it. *)
+    if delta > 64. then
+      Alcotest.failf "%s allocated %.0f minor words over %d calls" what delta n
+  in
+  pin "Aes.encrypt_block" (fun () ->
+      Aes.encrypt_block aes ~src:buf ~src_off:3 ~dst:out ~dst_off:0);
+  pin "Cmac.rekey" (fun () -> Cmac.rekey cmac buf ~off:5);
+  pin "Cmac.digest_into" (fun () ->
+      Cmac.digest_into cmac buf ~off:1 ~len:40 ~dst:out ~dst_off:0)
+
 let suite =
   [
     Alcotest.test_case "AES FIPS-197 vector" `Quick aes_fips_vector;
@@ -175,4 +296,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cmac_distinct_keys;
     QCheck_alcotest.to_alcotest prop_aead_roundtrip;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_aes_diff;
+    QCheck_alcotest.to_alcotest prop_rekey_diff;
+    QCheck_alcotest.to_alcotest prop_cmac_diff;
+    QCheck_alcotest.to_alcotest prop_aead_prf_diff;
+    Alcotest.test_case "AES/CMAC kernels allocate 0 words" `Quick kernels_zero_alloc;
   ]
