@@ -77,16 +77,19 @@ let maybe_rotate (t : t) ~now =
   end
 
 (* Double hashing: h_i = h1 + i*h2, standard Bloom technique. The
-   seeded polymorphic hash is intentional here: Bloom indexing needs a
-   fast non-cryptographic spread, not authentication — a collision only
+   filter mixes its key itself (a splitmix-style finalizer on OCaml's
+   63-bit ints: xorshifts and odd multiplies, each a bijection), so
+   small or sequential keys spread over every probe position; h1 and h2
+   are the low and high 31-bit halves of the mixed value, h2 forced odd
+   so the probe sequence never degenerates. Bloom indexing needs a fast
+   non-cryptographic spread, not authentication — a collision only
    costs a bounded false-positive drop, never a forged acceptance. *)
-let h1_of (key : int) =
-  (* lint: allow poly-hash *)
-  (Hashtbl.hash (key, 0x9e3779b9) [@colibri.allow "d3"])
-
-let h2_of (key : int) =
-  (* lint: allow poly-hash *)
-  ((Hashtbl.hash (key, 0x85ebca6b) [@colibri.allow "d3"]) lor 1) land max_int
+let mix (key : int) : int =
+  let h = key lxor (key lsr 30) in
+  let h = h * 0x3f58476d1ce4e5b9 in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
 
 (* [land max_int], not [abs]: [abs min_int] is [min_int], so an
    overflowing sum would produce a negative [mod] and an out-of-bounds
@@ -106,15 +109,23 @@ let rec set_all (t : t) ~h1 ~h2 (i : int) : unit =
     set_all t ~h1 ~h2 (i + 1)
   end
 
+let h1_of (h : int) = h land 0x7fffffff
+let h2_of (h : int) = (h lsr 31) land 0x7fffffff lor 1
+
+let seen (t : t) ~h1 ~h2 = all_set t t.current ~h1 ~h2 0 || all_set t t.previous ~h1 ~h2 0
+
+let mem (t : t) (key : int) : bool =
+  let h = mix key in
+  seen t ~h1:(h1_of h) ~h2:(h2_of h)
+
 (** [check_and_insert t ~now key] returns [true] when [key] is fresh
     (first sighting in the window) and records it; [false] flags a
     duplicate to be discarded. *)
 let check_and_insert (t : t) ~(now : float) (key : int) : bool =
   maybe_rotate t ~now;
-  let h1 = h1_of key and h2 = h2_of key in
-  let in_current = all_set t t.current ~h1 ~h2 0 in
-  let in_previous = all_set t t.previous ~h1 ~h2 0 in
-  if in_current || in_previous then false
+  let h = mix key in
+  let h1 = h1_of h and h2 = h2_of h in
+  if seen t ~h1 ~h2 then false
   else begin
     set_all t ~h1 ~h2 0;
     t.inserted <- t.inserted + 1;

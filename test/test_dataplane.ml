@@ -129,6 +129,32 @@ let router_rejects_replay () =
   | Error Router.Duplicate -> ()
   | _ -> Alcotest.fail "replay not suppressed"
 
+let replay_caught_across_paths () =
+  (* The record path ([process]) and the wire path ([process_bytes])
+     key the duplicate filter identically: a packet seen on one is a
+     duplicate on the other, in both directions. *)
+  let d, eer = rig () in
+  let router = Deployment.router d (List.hd eer.path).Path.asn in
+  let send () =
+    let pkt, _ =
+      Result.get_ok
+        (Gateway.send (Deployment.gateway d G.s) ~res_id:eer.key.res_id ~payload_len:0)
+    in
+    (pkt, Packet.to_bytes pkt)
+  in
+  let pkt, raw = send () in
+  Alcotest.(check bool) "record path forwards" true
+    (Result.is_ok (Router.process router ~packet:pkt ~actual_size:(Bytes.length raw)));
+  (match Router.process_bytes router ~raw ~payload_len:0 with
+  | Error Router.Duplicate -> ()
+  | _ -> Alcotest.fail "wire-path replay of a record-path packet not suppressed");
+  let pkt, raw = send () in
+  Alcotest.(check bool) "wire path forwards" true
+    (Result.is_ok (Router.process_bytes router ~raw ~payload_len:0));
+  match Router.process router ~packet:pkt ~actual_size:(Bytes.length raw) with
+  | Error Router.Duplicate -> ()
+  | _ -> Alcotest.fail "record-path replay of a wire-path packet not suppressed"
+
 let router_rejects_expired_and_stale () =
   let d, eer = rig () in
   let pkt, _ =
@@ -251,6 +277,8 @@ let suite =
     Alcotest.test_case "router: rejects forged HVF (§5.1)" `Quick router_rejects_forged_hvf;
     Alcotest.test_case "router: rejects size lie" `Quick router_rejects_size_lie;
     Alcotest.test_case "router: rejects replay (§5.1)" `Quick router_rejects_replay;
+    Alcotest.test_case "router: replay caught across record and wire paths" `Quick
+      replay_caught_across_paths;
     Alcotest.test_case "router: rejects expired and stale" `Quick router_rejects_expired_and_stale;
     Alcotest.test_case "router: blocklist" `Quick router_blocklist_blocks;
     Alcotest.test_case "router: not on path" `Quick router_not_on_path;

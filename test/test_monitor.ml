@@ -196,6 +196,44 @@ let dup_false_positive_rate () =
   done;
   Alcotest.(check bool) (Printf.sprintf "fp rate ok (%d/10000)" !fp) true (!fp < 100)
 
+(* Seeded Bloom-quality check: at its design load the filter's measured
+   false-positive rate stays within [fp_rate] plus a 3σ binomial
+   allowance, for well-spread random keys and for the small sequential
+   ints an unmixed filter would index badly. *)
+let dup_fp_rate_at_design_load () =
+  let expected = 200_000 and fp_rate = 1e-3 in
+  let bound =
+    fp_rate +. (3. *. Float.sqrt (fp_rate *. (1. -. fp_rate) /. float_of_int expected))
+  in
+  let measure what ~insert ~probe =
+    let f =
+      Monitor.Duplicate_filter.create ~expected ~fp_rate ~window:10. ~now:0.
+    in
+    Array.iter (fun k -> ignore (Monitor.Duplicate_filter.check_and_insert f ~now:0.1 k)) insert;
+    let fp = ref 0 in
+    Array.iter
+      (fun k -> if Monitor.Duplicate_filter.mem f k then incr fp)
+      probe;
+    let rate = float_of_int !fp /. float_of_int (Array.length probe) in
+    if rate > bound then
+      Alcotest.failf "%s keys: fp rate %.5f (%d/%d) above %.5f" what rate !fp
+        (Array.length probe) bound
+  in
+  let rng = Random.State.make [| 20211207 |] in
+  let seen = Hashtbl.create (2 * expected) in
+  let fresh () =
+    let rec go () =
+      let k = Random.State.full_int rng max_int in
+      if Hashtbl.mem seen k then go () else (Hashtbl.add seen k (); k)
+    in
+    go ()
+  in
+  let random_in = Array.init expected (fun _ -> fresh ()) in
+  let random_out = Array.init expected (fun _ -> fresh ()) in
+  measure "random" ~insert:random_in ~probe:random_out;
+  measure "sequential" ~insert:(Array.init expected Fun.id)
+    ~probe:(Array.init expected (fun i -> expected + i))
+
 let dup_memory_bounded () =
   let f = Monitor.Duplicate_filter.create ~expected:1_000_000 ~fp_rate:1e-4 ~window:2. ~now:0. in
   (* ~2.4 MB per filter generation for 1M packets at 1e-4. *)
@@ -400,6 +438,8 @@ let suite =
     Alcotest.test_case "duplicate filter: occupancy gauges" `Quick dup_occupancy_gauges;
     Alcotest.test_case "duplicate filter: no false negatives" `Quick dup_no_false_negatives;
     Alcotest.test_case "duplicate filter: false-positive rate" `Quick dup_false_positive_rate;
+    Alcotest.test_case "duplicate filter: fp rate at design load" `Quick
+      dup_fp_rate_at_design_load;
     Alcotest.test_case "duplicate filter: memory bounded" `Quick dup_memory_bounded;
     Alcotest.test_case "OFD: flags overuser" `Quick ofd_flags_overuser;
     Alcotest.test_case "OFD: spares conforming flow" `Quick ofd_spares_conforming;
