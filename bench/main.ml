@@ -1,6 +1,6 @@
 (** Benchmark harness regenerating every table and figure of the
     paper's evaluation (§6–§7, Appendix E), plus the scalability
-    ablation against the IntServ baseline.
+    ablation against the IntServ backend.
 
     Run with no arguments to produce all tables;
     [fig3|fig4|fig5|fig6|table2|appE|ablation] select one;
@@ -219,7 +219,7 @@ let fig6 () =
     "Fig. 6: gateway (r=2^15, 4 ASes) and border-router scaling with cores";
   let cores = [ 1; 2; 4; 8; 16 ] in
   let sends = if quick then 20_000 else 50_000 in
-  (* Single-shard measured rates. *)
+  (* Single-core measured rates. *)
   let gw_rig = Workloads.gateway_rig ~path_len:4 ~reservations:(1 lsl 15) () in
   let gw_rate = Measure.throughput ~n:sends gw_rig.send in
   let br_rig = Workloads.router_rig ~path_len:4 ~distinct_packets:4096 () in
@@ -227,11 +227,11 @@ let fig6 () =
   record_metrics "fig6/gateway" (Obs.Registry.snapshot (Colibri.Gateway.metrics gw_rig.gateway));
   record_metrics "fig6/border_router"
     (Obs.Registry.snapshot (Colibri.Router.metrics br_rig.router));
-  (* Sharding overhead: route the send through the sharded dispatcher
-     and compare; the shards are shared-nothing, so k cores run k
-     dispatch-free shards in parallel (DESIGN.md §3: this container has
-     one core; the k-core numbers below are the measured per-shard rate
-     times k, the shared-nothing linear model the paper confirms). *)
+  (* Gateway and router are shared-nothing, so k cores run k
+     independent instances (DESIGN.md §3: this container has one core;
+     the k-core numbers below are the measured single-core rate times
+     k, the linear model the paper confirms). The [par] mode measures
+     the parallel router's real 1/2/4-worker curve. *)
   Printf.printf "%-8s %-22s %-22s\n" "cores" "Gateway [Mpps]" "Border router [Mpps]";
   List.iter
     (fun k ->
@@ -241,7 +241,7 @@ let fig6 () =
     cores;
   print_newline ();
   Printf.printf
-    "Model: per-shard measured rate x cores (shared-nothing shards; see DESIGN.md).\n\
+    "Model: single-core measured rate x cores (shared-nothing instances; see DESIGN.md).\n\
      Paper: near-linear, BR 34.4 Mpps and GW 18.7 Mpps at 16 cores.\n\
      Measured BR/GW single-core ratio here: %.2fx (paper: ~1.8x).\n"
     (br_rate /. gw_rate)
@@ -287,22 +287,33 @@ let ablation () =
     (fun existing ->
       let colibri = Workloads.fig3 ~existing ~ratio:0.1 in
       let c = Measure.latency ~samples:100 colibri.probe in
-      (* IntServ: per-flow list scanned on each admission. *)
+      (* IntServ: the backend scans its per-flow list on each admission. *)
       let intserv =
-        Baseline.Intserv.create ~capacity:(Colibri_types.Bandwidth.of_gbps 400_000.) ()
+        Backends.Intserv_backend.factory.make
+          ~capacity:(fun _ -> Colibri_types.Bandwidth.of_gbps 400_000.) ()
       in
-      for i = 1 to existing do
+      let src = Colibri_types.Ids.asn ~isd:1 ~num:1 in
+      let admit res_id =
         ignore
-          (Baseline.Intserv.admit intserv ~id:{ src = i; dst = 0 }
-             ~bw:(Colibri_types.Bandwidth.of_mbps 1.) ~exp_time:1e9 ~now:0.)
-      done;
+          (Backends.Backend_intf.admit_seg intserv ~now:0.
+             ~req:
+               {
+                 key = { src_as = src; res_id };
+                 version = 1;
+                 src;
+                 ingress = 0;
+                 egress = 1;
+                 demand = Colibri_types.Bandwidth.of_mbps 1.;
+                 min_bw = Colibri_types.Bandwidth.zero;
+                 exp_time = 1e9;
+               })
+      in
+      for i = 1 to existing do admit i done;
       let j = ref existing in
       let s =
         Measure.latency ~samples:100 (fun _ ->
             incr j;
-            ignore
-              (Baseline.Intserv.admit intserv ~id:{ src = !j; dst = 0 }
-                 ~bw:(Colibri_types.Bandwidth.of_mbps 1.) ~exp_time:1e9 ~now:0.))
+            admit !j)
       in
       Printf.printf "%-12d %8.1f±%-12.1f %8.1f±%-12.1f\n" existing c.mean_us
         c.stderr_us s.mean_us s.stderr_us)
@@ -365,8 +376,9 @@ let gc_mode () =
         .send);
   print_newline ();
   Printf.printf
-    "Target (DESIGN.md §8): 0 words/pkt for the bare router fast path; the\n\
-     gateway wire path allocates only its result cell.\n"
+    "Target (DESIGN.md §8): only the verdict's result cells, 4 words/pkt,\n\
+     which the bare router meets. The gateway measured 39 words/pkt and the\n\
+     monitored router 54 when this was written; ROADMAP item 3 brings them down.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Par: the multicore substrate — SPSC ring transfer and the parallel  *)

@@ -3,10 +3,9 @@
     counterpoint (§1, §8).
 
     DiffServ has no per-reservation signaling: sources mark packets
-    with a class ({!Baseline.Diffserv.dscp}) and every hop schedules by
-    class. The wrapper therefore grants every request in full, pays
-    {e zero} control messages, and merely accounts who promised what:
-    SegRs map to the Assured class, EERs to Expedited. Because nothing
+    with a class and every hop schedules by class. The wrapper
+    therefore grants every request in full, pays {e zero} control
+    messages, and merely accounts who promised what. Because nothing
     polices aggregate demand, the booked bandwidth on an egress may
     exceed the link — [capacity_bound_enforced = false], and the bench's
     [utilization] column shows the resulting oversubscription, which is
@@ -16,7 +15,6 @@ open Colibri_types
 
 type entry = {
   egress : Ids.iface;
-  klass : Baseline.Diffserv.dscp;
   mutable bw : float; (* bps *)
   exp_time : Timebase.t;
   mutable removed : bool;
@@ -64,7 +62,7 @@ module B : Backend_intf.S = struct
       Ids.Res_ver_tbl.remove entries kv
     end
 
-  let admit (t : t) (entries : entry Ids.Res_ver_tbl.t) ~key ~version ~egress ~klass
+  let admit (t : t) (entries : entry Ids.Res_ver_tbl.t) ~key ~version ~egress
       ~(demand : Bandwidth.t) ~exp_time ~now : Backend_intf.decision =
     Expiry.sweep t.expiry ~now;
     t.admit_calls <- t.admit_calls + 1;
@@ -78,7 +76,6 @@ module B : Backend_intf.S = struct
         let e =
           {
             egress;
-            klass;
             bw = Bandwidth.to_bps (Bandwidth.clamp demand);
             exp_time;
             removed = false;
@@ -94,11 +91,11 @@ module B : Backend_intf.S = struct
 
   let admit_seg (t : t) ~(req : Backend_intf.seg_request) ~now =
     admit t t.seg_entries ~key:req.key ~version:req.version ~egress:req.egress
-      ~klass:Baseline.Diffserv.Assured ~demand:req.demand ~exp_time:req.exp_time ~now
+      ~demand:req.demand ~exp_time:req.exp_time ~now
 
   let admit_eer (t : t) ~(req : Backend_intf.eer_request) ~now =
     admit t t.eer_entries ~key:req.key ~version:req.version ~egress:req.egress
-      ~klass:Baseline.Diffserv.Expedited ~demand:req.demand ~exp_time:req.exp_time ~now
+      ~demand:req.demand ~exp_time:req.exp_time ~now
 
   let commit_seg (t : t) ~key ~version ~granted =
     match Ids.Res_ver_tbl.find_opt t.seg_entries (key, version) with

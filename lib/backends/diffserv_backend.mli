@@ -3,10 +3,9 @@
     counterpoint (§1, §8).
 
     DiffServ has no per-reservation signaling: sources mark packets
-    with a class ({!Baseline.Diffserv.dscp}) and every hop schedules by
-    class. The wrapper therefore grants every request in full, pays
-    {e zero} control messages, and merely accounts who promised what:
-    SegRs map to the Assured class, EERs to Expedited. Because nothing
+    with a class and every hop schedules by class. The wrapper
+    therefore grants every request in full, pays {e zero} control
+    messages, and merely accounts who promised what. Because nothing
     polices aggregate demand, the booked bandwidth on an egress may
     exceed the link — [capacity_bound_enforced = false], and the bench's
     [utilization] column shows the resulting oversubscription, which is

@@ -1,9 +1,9 @@
-(** IntServ/RSVP admission backend: {!Baseline.Intserv} ports (one per
+(** IntServ/RSVP admission backend: per-flow soft-state ports (one per
     egress interface) behind the {!Backend_intf.S} contract.
 
     Each reservation — SegR or EER alike, RSVP has only flows — becomes
-    one per-flow soft-state record on its egress port. Admission is the
-    baseline's deliberate O(#flows) scan; the discipline is chained
+    one per-flow soft-state record on its egress port. Admission is a
+    deliberate O(#flows) scan of the port's flow list; the discipline is chained
     (PATH forward, RESV backward), so like the reference backend it
     pays two control messages per on-path AS per admission, but unlike
     it the admission cost grows with the number of installed
@@ -14,12 +14,53 @@
 
 open Colibri_types
 
+(* One egress port's RSVP soft state: a plain per-flow list, walked on
+   every admission and teardown to expire stale flows and sum the
+   committed bandwidth — the deliberate O(#flows) cost the ablation
+   bench measures against Colibri's memoized admission (§8, Table 1).
+   Flow ids are taken at face value: nothing authenticates them. *)
+module Port = struct
+  type flow_id = { src : int; dst : int }
+  type flow = { id : flow_id; bw : Bandwidth.t; exp_time : Timebase.t }
+
+  type t = {
+    cap : Bandwidth.t; (* reservable: share x link capacity *)
+    mutable flows : flow list;
+  }
+
+  let create ~(cap : Bandwidth.t) : t = { cap; flows = [] }
+
+  (* Sum of live flows; expires soft state on the way. *)
+  let committed (t : t) ~(now : Timebase.t) : Bandwidth.t =
+    t.flows <- List.filter (fun f -> now < f.exp_time) t.flows;
+    List.fold_left (fun acc f -> Bandwidth.add acc f.bw) Bandwidth.zero t.flows
+
+  (* Admit if the new flow fits next to everything committed. *)
+  let admit (t : t) ~(id : flow_id) ~(bw : Bandwidth.t) ~(exp_time : Timebase.t)
+      ~(now : Timebase.t) : [ `Admitted | `Rejected ] =
+    let used = committed t ~now in
+    if Bandwidth.(add used bw <= t.cap) then begin
+      t.flows <- { id; bw; exp_time } :: t.flows;
+      `Admitted
+    end
+    else `Rejected
+
+  let same_id (a : flow_id) (b : flow_id) = a.src = b.src && a.dst = b.dst
+
+  let classify (t : t) ~(id : flow_id) : flow option =
+    List.find_opt (fun f -> same_id f.id id) t.flows
+
+  (* Teardown (ResvTear); a no-op on unknown ids. *)
+  let remove (t : t) ~(id : flow_id) =
+    t.flows <- List.filter (fun f -> not (same_id f.id id)) t.flows
+end
+
 (* One reservation's binding to its port. [fid] is the synthetic RSVP
    flow identifier; entries are compared physically in expiry thunks so
    a re-admitted (key, version) is never torn down by a stale thunk. *)
 type res = {
   egress : Ids.iface;
-  fid : Baseline.Intserv.flow_id;
+  fid : Port.flow_id;
   mutable bw : float; (* bps *)
   exp_time : Timebase.t;
 }
@@ -28,7 +69,7 @@ module B : Backend_intf.S = struct
   type t = {
     capacity : Ids.iface -> Bandwidth.t;
     share : float;
-    ports : Baseline.Intserv.t Ids.Iface_tbl.t;
+    ports : Port.t Ids.Iface_tbl.t;
     seg_entries : res Ids.Res_ver_tbl.t;
     eer_entries : res Ids.Res_ver_tbl.t;
     expiry : Expiry.t;
@@ -60,12 +101,12 @@ module B : Backend_intf.S = struct
   let port_capacity (t : t) (egress : Ids.iface) : Bandwidth.t =
     if egress = Ids.local_iface then Bandwidth.of_bps 1e15 else t.capacity egress
 
-  let port_for (t : t) (egress : Ids.iface) : Baseline.Intserv.t =
+  let port_for (t : t) (egress : Ids.iface) : Port.t =
     match Ids.Iface_tbl.find_opt t.ports egress with
     | Some p -> p
     | None ->
         let p =
-          Baseline.Intserv.create ~capacity:(port_capacity t egress) ~share:t.share ()
+          Port.create ~cap:(Bandwidth.scale t.share (port_capacity t egress))
         in
         Ids.Iface_tbl.replace t.ports egress p;
         p
@@ -73,7 +114,7 @@ module B : Backend_intf.S = struct
   let headroom (t : t) (egress : Ids.iface) ~now : float =
     let port = port_for t egress in
     let cap = t.share *. Bandwidth.to_bps (port_capacity t egress) in
-    Float.max 0. (cap -. Bandwidth.to_bps (Baseline.Intserv.committed port ~now))
+    Float.max 0. (cap -. Bandwidth.to_bps (Port.committed port ~now))
 
   (* Shared admit for both reservation classes: RSVP knows only flows. *)
   let admit_flow (t : t) (entries : res Ids.Res_ver_tbl.t) ~key ~version ~egress
@@ -87,12 +128,12 @@ module B : Backend_intf.S = struct
     | Some e -> Granted (Bandwidth.of_bps e.bw) (* retransmission *)
     | None ->
         let port = port_for t egress in
-        let fid = { Baseline.Intserv.src = t.next_fid; dst = egress } in
+        let fid = { Port.src = t.next_fid; dst = egress } in
         t.next_fid <- t.next_fid + 1;
         if Bandwidth.(demand < min_bw) then
           Denied { available = Bandwidth.zero }
         else begin
-          match Baseline.Intserv.admit port ~id:fid ~bw:demand ~exp_time ~now with
+          match Port.admit port ~id:fid ~bw:demand ~exp_time ~now with
           | `Rejected -> Denied { available = Bandwidth.of_bps (headroom t egress ~now) }
           | `Admitted ->
               let e =
@@ -125,9 +166,9 @@ module B : Backend_intf.S = struct
         if g > e.bw +. 1e-6 then Error "cannot raise grant"
         else begin
           let port = port_for t e.egress in
-          Baseline.Intserv.remove port ~id:e.fid;
+          Port.remove port ~id:e.fid;
           match
-            Baseline.Intserv.admit port ~id:e.fid ~bw:granted ~exp_time:e.exp_time
+            Port.admit port ~id:e.fid ~bw:granted ~exp_time:e.exp_time
               ~now:t.last_now
           with
           | `Admitted ->
@@ -142,7 +183,7 @@ module B : Backend_intf.S = struct
     match Ids.Res_ver_tbl.find_opt entries (key, version) with
     | None -> ()
     | Some e ->
-        Baseline.Intserv.remove (port_for t e.egress) ~id:e.fid;
+        Port.remove (port_for t e.egress) ~id:e.fid;
         Ids.Res_ver_tbl.remove entries (key, version)
 
   let remove_seg (t : t) ~key ~version ~now = remove t t.seg_entries ~key ~version ~now
@@ -159,7 +200,7 @@ module B : Backend_intf.S = struct
   let seg_allocated_on (t : t) ~egress =
     match Ids.Iface_tbl.find_opt t.ports egress with
     | None -> Bandwidth.zero
-    | Some port -> Baseline.Intserv.committed port ~now:t.last_now
+    | Some port -> Port.committed port ~now:t.last_now
 
   let eer_allocated_over (_ : t) ~segr:_ = Bandwidth.zero (* no chain tracking *)
   let seg_count (t : t) = Ids.Res_ver_tbl.length t.seg_entries
@@ -187,7 +228,7 @@ module B : Backend_intf.S = struct
             Ids.Iface_tbl.replace expected e.egress
               (Option.value ~default:0. (Ids.Iface_tbl.find_opt expected e.egress)
               +. e.bw);
-            match Baseline.Intserv.classify (port_for t e.egress) ~id:e.fid with
+            match Port.classify (port_for t e.egress) ~id:e.fid with
             | Some f ->
                 if Float.abs (Bandwidth.to_bps f.bw -. e.bw) > 1e-6 then
                   errs :=
@@ -206,7 +247,7 @@ module B : Backend_intf.S = struct
     check t.eer_entries "eer";
     Ids.Iface_tbl.iter
       (fun egress port ->
-        let committed = Bandwidth.to_bps (Baseline.Intserv.committed port ~now:t.last_now) in
+        let committed = Bandwidth.to_bps (Port.committed port ~now:t.last_now) in
         let want = Option.value ~default:0. (Ids.Iface_tbl.find_opt expected egress) in
         if Float.abs (committed -. want) > 1e-6 *. Float.max 1. want then
           errs :=
@@ -235,11 +276,11 @@ module B : Backend_intf.S = struct
       (fun _ e -> if Option.is_none !any then any := Some e)
       t.seg_entries;
     match !any with
-    | Some e -> Baseline.Intserv.remove (port_for t e.egress) ~id:e.fid
+    | Some e -> Port.remove (port_for t e.egress) ~id:e.fid
     | None ->
         (* No entries: install a phantom flow that the index ignores. *)
         ignore
-          (Baseline.Intserv.admit (port_for t 1) ~id:{ src = -1; dst = -1 }
+          (Port.admit (port_for t 1) ~id:{ src = -1; dst = -1 }
              ~bw:(Bandwidth.of_bps 1.) ~exp_time:Float.max_float ~now:t.last_now)
 end
 

@@ -1,9 +1,9 @@
-(** IntServ/RSVP admission backend: {!Baseline.Intserv} ports (one per
+(** IntServ/RSVP admission backend: per-flow soft-state ports (one per
     egress interface) behind the {!Backend_intf.S} contract.
 
     Each reservation — SegR or EER alike, RSVP has only flows — becomes
-    one per-flow soft-state record on its egress port. Admission is the
-    baseline's deliberate O(#flows) scan; the discipline is chained
+    one per-flow soft-state record on its egress port. Admission is a
+    deliberate O(#flows) scan of the port's flow list; the discipline is chained
     (PATH forward, RESV backward), so like the reference backend it
     pays two control messages per on-path AS per admission, but unlike
     it the admission cost grows with the number of installed

@@ -1,30 +1,23 @@
-(** Shared-nothing sharding of the data plane across cores (§7, Fig. 6).
+(** Shared-nothing sharding of the border router across cores (§7,
+    Fig. 6).
 
     The paper shows the gateway and border router scale almost
     perfectly linearly with cores, because per-packet processing is a
     pure function of the packet and (for the gateway) of per-ResId
     state that can be partitioned: "multiple gateways, each handling
-    only a fraction of all reservations" (§7.2). This module implements
-    that partitioning:
-
-    - a {!Sharded_gateway} splits reservations across [n] gateway
-      instances by ResId hash — registration and sending touch exactly
-      one shard, so shards never contend;
-    - border routers are stateless (their monitors are per-instance and
-      probabilistic), so router sharding is [n] independent instances
-      fed by any packet distribution.
-
-    On a multi-core host each shard would run on its own core
-    (OCaml 5 [Domain]s or separate processes). The Fig. 6 bench
-    measures per-shard throughput and reports the shared-nothing linear
-    model; see DESIGN.md §3 for why that substitution is faithful on a
-    single-core container. *)
+    only a fraction of all reservations" (§7.2). Border routers are
+    stateless (their monitors are per-instance and probabilistic), so
+    router sharding is [n] independent instances fed by any packet
+    distribution; {!Parallel_router} runs each on its own OCaml 5
+    domain. The Fig. 6 bench measures one gateway's and one router's
+    single-core rate and reports the shared-nothing linear model; see
+    DESIGN.md §3. *)
 
 open Colibri_types
 
 (* Worker/shard selection from (frame length, dispatch byte) without
    touching the allocator: the previous [Hashtbl.hash (len, b)] built a
-   fresh tuple per packet on both router dispatch paths (deepscan d3
+   fresh tuple per packet on the router dispatch path (deepscan d3
    flags the polymorphic hash at composite type; the tuple itself was
    a hidden per-packet allocation). A two-round multiply-xor-shift
    avalanche spreads both inputs across the word; [land max_int]
@@ -37,68 +30,6 @@ let dispatch_mix ~(len : int) ~(b : int) : int =
   let h = h lxor (h lsr 31) in
   let h = h * 0x2545f4914f6cdd1d in
   (h lxor (h lsr 29)) land max_int
-
-module Sharded_gateway = struct
-  type t = { shards : Gateway.t array }
-
-  let create ?burst ~(clock : Timebase.clock) ~(shards : int) (asn : Ids.asn) : t =
-    (* Construction-time validation; never on the per-packet path. *)
-    (* lint: allow hot-path-exn *)
-    if shards < 1 then invalid_arg "Sharded_gateway.create: shards < 1";
-    { shards = Array.init shards (fun _ -> Gateway.create ?burst ~clock asn) }
-
-  let shard_count (t : t) = Array.length t.shards
-
-  (* ResId → shard. A multiplicative hash spreads sequential ResIds.
-     [land max_int] clears the sign bit; [abs] would keep the product
-     negative when it lands on [min_int] and the negative [mod] then
-     indexes out of range. *)
-  let shard_of (t : t) (res_id : Ids.res_id) : int =
-    res_id * 0x9e3779b1 land max_int mod Array.length t.shards
-
-  let shard (t : t) (i : int) : Gateway.t = t.shards.(i)
-
-  let register (t : t) ~(eer : Reservation.eer) ~(version : Reservation.version)
-      ~(sigmas : bytes list) : (unit, string) result =
-    Gateway.register t.shards.(shard_of t eer.key.res_id) ~eer ~version ~sigmas
-
-  let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
-      (Packet.t * Ids.iface, Gateway.drop_reason) result =
-    Gateway.send t.shards.(shard_of t res_id) ~res_id ~payload_len
-
-  (** Zero-copy variant: encodes into the owning shard's reusable
-      output buffer ({!Gateway.out} of the returned shard, valid until
-      that shard's next send). *)
-  (* hot-path *)
-  let send_bytes (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
-      (Gateway.t * Ids.iface, Gateway.drop_reason) result =
-    let g = t.shards.(shard_of t res_id) in
-    match Gateway.send_bytes g ~res_id ~payload_len with
-    | Ok egress -> Ok (g, egress)
-    | Error _ as e -> e
-
-  let reservation_count (t : t) =
-    Array.fold_left (fun acc g -> acc + Gateway.reservation_count g) 0 t.shards
-
-  (** Shard balance: (min, max) reservations per shard — the tests use
-      this to check the hash spreads load. *)
-  let balance (t : t) : int * int =
-    Array.fold_left
-      (fun (lo, hi) g ->
-        let n = Gateway.reservation_count g in
-        (min lo n, max hi n))
-      (max_int, 0) t.shards
-
-  let shard_metrics (t : t) (i : int) : Obs.snapshot =
-    Obs.Registry.snapshot (Gateway.metrics t.shards.(i))
-
-  (** Aggregate telemetry across shards: counters and histograms sum,
-      so the merged snapshot reads like one big gateway. *)
-  let metrics (t : t) : Obs.snapshot =
-    Obs.merge
-      (Array.to_list
-         (Array.map (fun g -> Obs.Registry.snapshot (Gateway.metrics g)) t.shards))
-end
 
 (** True multicore sharding (DESIGN.md §11): one domain per router
     shard, fed through SPSC rings with buffer-ownership transfer.
@@ -271,8 +202,8 @@ module Parallel_router = struct
   let worker_count (t : t) = Array.length t.workers
   let batch_size (t : t) = t.batch
 
-  (* Same content-mix dispatch as {!Sharded_router}: load balancing,
-     not authentication. *)
+  (* Content-mix dispatch ({!dispatch_mix}): load balancing, not
+     authentication. *)
   (* hot-path *)
   let dispatch (t : t) (raw : bytes) : int =
     let b = if Bytes.length raw > 8 then Char.code (Bytes.get raw 8) else 0 in
@@ -413,45 +344,4 @@ module Parallel_router = struct
            (Array.map
               (fun w -> Obs.Registry.snapshot (Router.metrics w.router))
               t.workers))
-end
-
-module Sharded_router = struct
-  type t = { shards : Router.t array }
-
-  let create ?freshness_window ?(monitoring = false) ~(secret : Hvf.as_secret)
-      ~(clock : Timebase.clock) ~(shards : int) (asn : Ids.asn) : t =
-    (* Construction-time validation; never on the per-packet path. *)
-    (* lint: allow hot-path-exn *)
-    if shards < 1 then invalid_arg "Sharded_router.create: shards < 1";
-    let mk _ =
-      if monitoring then Router.create ?freshness_window ~secret ~clock asn
-      else
-        Router.create ?freshness_window ~ofd:`None ~duplicates:`None ~secret ~clock
-          asn
-    in
-    { shards = Array.init shards mk }
-
-  let shard_count (t : t) = Array.length t.shards
-  let shard (t : t) (i : int) : Router.t = t.shards.(i)
-
-  (* Routers are stateless: any spreading works; use a byte of the
-     packet Ts. Shard selection is load balancing, not authentication.
-     A packet too short to carry that byte still goes to a shard — the
-     router's parser is the single place that renders the malformed
-     verdict, so the caller sees [Error (Parse_error _)], never an
-     exception from the dispatcher. *)
-  let process_bytes (t : t) ~(raw : bytes) ~(payload_len : int) =
-    let b = if Bytes.length raw > 8 then Char.code (Bytes.get raw 8) else 0 in
-    let i = dispatch_mix ~len:(Bytes.length raw) ~b mod Array.length t.shards in
-    Router.process_bytes t.shards.(i) ~raw ~payload_len
-
-  let shard_metrics (t : t) (i : int) : Obs.snapshot =
-    Obs.Registry.snapshot (Router.metrics t.shards.(i))
-
-  (** Aggregate telemetry across shards (counters sum; occupancy gauges
-      sum too, giving totals over all shards' monitors). *)
-  let metrics (t : t) : Obs.snapshot =
-    Obs.merge
-      (Array.to_list
-         (Array.map (fun r -> Obs.Registry.snapshot (Router.metrics r)) t.shards))
 end

@@ -1,60 +1,13 @@
-(** Shared-nothing sharding of the data plane across cores (§7, Fig. 6).
+(** Shared-nothing sharding of the border router across cores (§7,
+    Fig. 6).
 
-    The gateway and border router scale almost linearly with cores
-    because per-packet processing is a pure function of the packet and
-    (for the gateway) of per-ResId state that partitions cleanly:
-    "multiple gateways, each handling only a fraction of all
-    reservations" (§7.2). A {!Sharded_gateway} splits reservations
-    across shards by ResId hash — registration and sending touch
-    exactly one shard, so shards never contend; border routers are
-    stateless, so {!Sharded_router} is simply independent instances.
-
-    On a multi-core host each shard runs on its own core; the Fig. 6
-    bench measures per-shard throughput and reports the shared-nothing
-    linear model (see DESIGN.md §3). *)
+    Border routers are stateless, so router sharding is independent
+    instances fed by any packet distribution. The Fig. 6 bench
+    measures one gateway's and one router's single-core rate and
+    reports the shared-nothing linear model (see DESIGN.md §3);
+    {!Parallel_router} is the real multicore path. *)
 
 open Colibri_types
-
-module Sharded_gateway : sig
-  type t
-
-  val create : ?burst:float -> clock:Timebase.clock -> shards:int -> Ids.asn -> t
-  val shard_count : t -> int
-  val shard_of : t -> Ids.res_id -> int
-  val shard : t -> int -> Gateway.t
-
-  val register :
-    t ->
-    eer:Reservation.eer ->
-    version:Reservation.version ->
-    sigmas:bytes list ->
-    (unit, string) result
-
-  val send :
-    t -> res_id:Ids.res_id -> payload_len:int ->
-    (Packet.t * Ids.iface, Gateway.drop_reason) result
-
-  val send_bytes :
-    t -> res_id:Ids.res_id -> payload_len:int ->
-    (Gateway.t * Ids.iface, Gateway.drop_reason) result
-  (** Zero-copy variant of {!send}: the header is encoded into the
-      owning shard's reusable buffer — read it via [Gateway.out] /
-      [Gateway.out_len] on the returned shard before that shard's next
-      send. *)
-
-  val reservation_count : t -> int
-
-  val balance : t -> int * int
-  (** (min, max) reservations per shard — the tests use this to check
-      the hash spreads load. *)
-
-  val shard_metrics : t -> int -> Obs.snapshot
-  (** One shard's metric snapshot. *)
-
-  val metrics : t -> Obs.snapshot
-  (** Aggregate telemetry across shards: counters and histograms sum,
-      so the merged snapshot reads like one big gateway. *)
-end
 
 (** True multicore router sharding (DESIGN.md §11): one OCaml 5 domain
     per shard, fed through {!Par.Spsc_ring} job rings with
@@ -142,34 +95,4 @@ module Parallel_router : sig
   (** Merge-at-sample across all worker domains: per-worker
       [par_router_{processed,forwarded,dropped}_total] plus each shard
       router's drop accounting. *)
-end
-
-module Sharded_router : sig
-  type t
-
-  val create :
-    ?freshness_window:Timebase.t ->
-    ?monitoring:bool ->
-    secret:Hvf.as_secret ->
-    clock:Timebase.clock ->
-    shards:int ->
-    Ids.asn ->
-    t
-
-  val shard_count : t -> int
-  val shard : t -> int -> Router.t
-
-  val process_bytes :
-    t -> raw:bytes -> payload_len:int -> (Router.action, Router.drop_reason) result
-  (** Dispatch to a shard and run the full fast path. Malformed input
-      (including packets too short for the dispatch byte) comes back as
-      [Error (Parse_error _)] from the shard's parser — the dispatcher
-      itself never raises. *)
-
-  val shard_metrics : t -> int -> Obs.snapshot
-  (** One shard's metric snapshot. *)
-
-  val metrics : t -> Obs.snapshot
-  (** Aggregate telemetry across shards (counters sum; occupancy
-      gauges sum, giving totals over all shards' monitors). *)
 end

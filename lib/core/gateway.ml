@@ -334,7 +334,6 @@ let send_bytes (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
             if Bytes.length t.out < header then
               (* Growth is amortized: only when a longer path than ever
                  before passes through this gateway. *)
-              (* lint: allow hot-path-alloc *)
               t.out <- (Bytes.create (max header (2 * Bytes.length t.out)) [@colibri.allow "d1"]);
             let b = t.out in
             Packet.Wire.put16 b 0 Packet.magic;

@@ -108,6 +108,13 @@ let create ?(freshness_window = 2.0 +. Timebase.max_skew)
     ?(report = fun ~src:_ -> ()) ?(auto_block = false) ?(confirm_after_drops = 100)
     ?(registry = Obs.Registry.create ()) ~(secret : Hvf.as_secret)
     ~(clock : Timebase.clock) (asn : Ids.asn) : t =
+  (* A private copy: the key's working blocks must not be shared across
+     domains, and routers run on worker domains
+     ([Dataplane_shard.Parallel_router] hands every worker the same
+     secret). Copied first: taken after the router's other
+     allocations, it measured 2-8 % slower in bench/perf's [pipeline]
+     workload on a 2-vCPU host. *)
+  let secret = Crypto.Cmac.copy secret in
   let now = clock () in
   let ofd =
     match ofd_arg with

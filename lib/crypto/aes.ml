@@ -114,6 +114,7 @@ let expand (key : bytes) : key =
   rk
 
 let of_secret = expand
+let copy : key -> key = Array.copy
 
 (** [rekey k key ~off] re-expands the 16-byte secret at [key+off] into
     [k]'s existing schedule. This is how the router derives the

@@ -21,6 +21,10 @@ val expand : bytes -> key
 val of_secret : bytes -> key
 (** Alias of {!expand}. *)
 
+val copy : key -> key
+(** An independent schedule: a later {!rekey} of either leaves the
+    other unchanged. *)
+
 val encrypt_block : key -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
 (** Encrypt the 16-byte block at [src+src_off] into [dst+dst_off];
     [src] and [dst] may alias. *)

@@ -15,6 +15,10 @@ val of_secret : bytes -> key
 
 val of_aes_key : Aes.key -> key
 
+val copy : key -> key
+(** The same key with its own schedule, subkeys and working blocks —
+    what a second domain needs before it may use the key. *)
+
 val rekey : key -> bytes -> off:int -> unit
 (** [rekey k secret ~off] re-keys [k] in place with the 16-byte secret
     at [secret+off], recomputing the AES schedule and both subkeys into

@@ -1,7 +1,7 @@
 (* Deepscan fixture: allocating helpers that carry no hot-path marker
-   of their own.  The token rule R7 only sees allocation tokens near a
-   marker in the same file, so the hot call from D1_router is invisible
-   to it — only the interprocedural closure (d1) reaches this far. *)
+   of their own.  Nothing in this file is hot on its own: only the
+   interprocedural closure (d1) follows the hot call from D1_router
+   this far. *)
 
 let alloc_payload (n : int) : bytes = Bytes.create n
 

@@ -79,6 +79,17 @@ let cmac_verify () =
     (Cmac.verify k (Bytes.of_string "messagf") ~tag);
   Alcotest.(check bool) "empty tag" false (Cmac.verify k m ~tag:Bytes.empty)
 
+let cmac_copy () =
+  let k = Cmac.of_secret (Bytes.make 16 'k') in
+  let m = Bytes.of_string "message" in
+  let tag = Bytes.to_string (Cmac.digest k m) in
+  let c = Cmac.copy k in
+  Alcotest.(check string) "copy computes the same tag" tag
+    (Bytes.to_string (Cmac.digest c m));
+  Cmac.rekey c (Bytes.make 16 'z') ~off:0;
+  Alcotest.(check string) "rekeying the copy leaves the original" tag
+    (Bytes.to_string (Cmac.digest k m))
+
 let aead_roundtrip () =
   let k = Aead.of_secret (Bytes.make 16 's') in
   let nonce = Bytes.make 16 'n' and ad = Bytes.of_string "header" in
@@ -301,4 +312,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cmac_diff;
     QCheck_alcotest.to_alcotest prop_aead_prf_diff;
     Alcotest.test_case "AES/CMAC kernels allocate 0 words" `Quick kernels_zero_alloc;
+    Alcotest.test_case "CMAC copy is independent" `Quick cmac_copy;
   ]

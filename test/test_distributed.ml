@@ -1,5 +1,4 @@
-(** Tests for the distributed CServ (Appendix D) and the data-plane
-    sharding used for multi-core scaling (Fig. 6). *)
+(** Tests for the distributed CServ (Appendix D). *)
 
 open Colibri_types
 open Colibri
@@ -99,82 +98,10 @@ let coordinator_handles_segreqs () =
   | Backends.Ntube.Granted _ -> ()
   | Backends.Ntube.Denied _ -> Alcotest.fail "coordinator refused a trivial SegR"
 
-(* ---------- Data-plane sharding ---------- *)
-
-let clock () = 0.
-
-let mk_eer res_id : Reservation.eer =
-  {
-    key = { src_as = asn 1; res_id };
-    path =
-      [
-        Path.hop ~asn:(asn 1) ~ingress:0 ~egress:1;
-        Path.hop ~asn:(asn 2) ~ingress:1 ~egress:0;
-      ];
-    src_host = Ids.host 1;
-    dst_host = Ids.host 2;
-    segr_keys = [];
-    versions = [];
-  }
-
-let version : Reservation.version = { version = 1; bw = mbps 100.; exp_time = 1000. }
-
-let register_n (sg : Dataplane_shard.Sharded_gateway.t) n =
-  for res_id = 1 to n do
-    let eer = mk_eer res_id in
-    eer.versions <- [ version ];
-    match
-      Dataplane_shard.Sharded_gateway.register sg ~eer ~version
-        ~sigmas:[ Bytes.make 16 'a'; Bytes.make 16 'b' ]
-    with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e
-  done
-
-let sharded_gateway_routes_correctly () =
-  let sg = Dataplane_shard.Sharded_gateway.create ~clock ~shards:4 (asn 1) in
-  register_n sg 100;
-  Alcotest.(check int) "all registered" 100
-    (Dataplane_shard.Sharded_gateway.reservation_count sg);
-  (* Every reservation reachable through the sharded send. *)
-  for res_id = 1 to 100 do
-    match Dataplane_shard.Sharded_gateway.send sg ~res_id ~payload_len:100 with
-    | Ok (pkt, _) -> Alcotest.(check int) "right reservation" res_id pkt.Packet.res_info.res_id
-    | Error e -> Alcotest.failf "send %d failed: %a" res_id Gateway.pp_drop_reason e
-  done
-
-let sharded_gateway_balanced () =
-  let sg = Dataplane_shard.Sharded_gateway.create ~clock ~shards:8 (asn 1) in
-  register_n sg 8000;
-  let lo, hi = Dataplane_shard.Sharded_gateway.balance sg in
-  Alcotest.(check bool) (Printf.sprintf "balanced (%d..%d)" lo hi) true
-    (lo > 700 && hi < 1300)
-
-let sharded_gateway_shared_nothing () =
-  (* A reservation lives in exactly one shard: removing the others'
-     state cannot affect it — verified by sending through the computed
-     shard directly. *)
-  let sg = Dataplane_shard.Sharded_gateway.create ~clock ~shards:4 (asn 1) in
-  register_n sg 16;
-  for res_id = 1 to 16 do
-    let hits = ref 0 in
-    for s = 0 to 3 do
-      match
-        Gateway.send (Dataplane_shard.Sharded_gateway.shard sg s) ~res_id ~payload_len:10
-      with
-      | Ok _ -> incr hits
-      | Error _ -> ()
-    done;
-    Alcotest.(check int) (Printf.sprintf "res %d in exactly one shard" res_id) 1 !hits
-  done
-
 let suite =
   [
     Alcotest.test_case "decisions match monolithic CServ" `Quick decisions_match;
     Alcotest.test_case "load spreads across sub-services" `Quick load_spreads_across_sub_services;
     Alcotest.test_case "same SegR pinned to one service" `Quick same_segr_pinned_to_one_service;
     Alcotest.test_case "coordinator handles SegReqs" `Quick coordinator_handles_segreqs;
-    Alcotest.test_case "sharded gateway routes correctly" `Quick sharded_gateway_routes_correctly;
-    Alcotest.test_case "sharded gateway balanced" `Quick sharded_gateway_balanced;
-    Alcotest.test_case "sharded gateway shared-nothing" `Quick sharded_gateway_shared_nothing;
   ]

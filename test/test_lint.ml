@@ -24,31 +24,6 @@ let test_r3 () = check_fixture ~root:"r3" ~expect:"mac-compare" ()
 let test_r4 () = check_fixture ~root:"r4" ~expect:"missing-mli" ()
 let test_r5 () = check_fixture ~root:"r5" ~expect:"nondet" ()
 let test_r6 () = check_fixture ~root:"r6" ~expect:"negative-modulo" ()
-let test_r7 () = check_fixture ~root:"r7" ~expect:"hot-path-alloc" ()
-
-(* R7 only fires inside a marked definition: the same allocation in an
-   unmarked neighbour is clean, and the region ends at the next
-   definition at the marker's indentation. *)
-let test_r7_region_scoping () =
-  let src =
-    "(* hot-path *)\n\
-     let fast b = Bytes.set_uint8 b 0 1\n\n\
-     let slow () = Bytes.create 16\n"
-  in
-  Alcotest.(check int) "allocation after region end is clean" 0
-    (List.length (Lint.lint_source ~path:"lib/x.ml" ~in_lib:false src));
-  let bad = "(* hot-path *)\nlet fast () =\n  Bytes.create 16\n" in
-  Alcotest.(check (list string))
-    "allocation inside region flags" [ "hot-path-alloc" ]
-    (rules_of (Lint.lint_source ~path:"lib/x.ml" ~in_lib:false bad));
-  (* Pragma escape, as used by the gateway's grow-on-demand branch. *)
-  let allowed =
-    "(* hot-path *)\n\
-     let fast () =\n\
-     \  Bytes.create 16 (* lint: allow hot-path-alloc *)\n"
-  in
-  Alcotest.(check int) "pragma suppresses R7" 0
-    (List.length (Lint.lint_source ~path:"lib/x.ml" ~in_lib:false allowed))
 
 (* The fixed idiom must not be flagged: the sign bit is cleared with
    [land max_int], no [abs] involved. *)
@@ -115,8 +90,6 @@ let suite =
     Alcotest.test_case "fixture r4: missing-mli" `Quick test_r4;
     Alcotest.test_case "fixture r5: nondet" `Quick test_r5;
     Alcotest.test_case "fixture r6: negative-modulo" `Quick test_r6;
-    Alcotest.test_case "fixture r7: hot-path-alloc" `Quick test_r7;
-    Alcotest.test_case "hot-path-alloc region scoping" `Quick test_r7_region_scoping;
     Alcotest.test_case "negative-modulo fixed idiom" `Quick test_r6_fixed_idiom;
     Alcotest.test_case "fixture clean: no findings" `Quick test_clean;
     Alcotest.test_case "repo sources are lint-clean" `Quick test_repo_clean;

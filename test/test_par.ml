@@ -349,6 +349,127 @@ let test_parallel_router_shutdown_idempotent () =
   Alcotest.(check int) "clean shutdown with zero traffic" 0
     (Dataplane_shard.Parallel_router.processed pr)
 
+(* Router ≡ Parallel_router: one seeded stream through a bare router
+   and through a 2-worker bare parallel router must give the same
+   verdict counts. Monitoring stays off on both sides: each worker has
+   its own OFD and duplicate filter, so monitored counts legitimately
+   differ. The parallel side reports Ok verdicts without their action,
+   so forwarded and delivered are compared as one Ok total there; the
+   bare side's split is checked against the stream's construction. *)
+
+let diff_now = 100.
+
+type diff_kind = Fwd | Dlv | Bad_hvf | Expired | Stale | Off_path | Short
+
+let diff_kinds = [| Fwd; Dlv; Bad_hvf; Expired; Stale; Off_path; Short |]
+
+let diff_frame rng kind : bytes * int =
+  if kind = Short then (Bytes.make [| 0; 1; 8 |].(Random.State.int rng 3) '\000', 0)
+  else
+  let hop a ~ingress ~egress = Path.hop ~asn:(asn a) ~ingress ~egress in
+  let path =
+    match kind with
+    | Dlv -> [ hop 1 ~ingress:0 ~egress:1; hop 2 ~ingress:1 ~egress:0 ]
+    | Off_path -> [ hop 1 ~ingress:0 ~egress:1; hop 3 ~ingress:1 ~egress:0 ]
+    | _ ->
+        [ hop 1 ~ingress:0 ~egress:1; hop 2 ~ingress:1 ~egress:2;
+          hop 3 ~ingress:1 ~egress:0 ]
+  in
+  let exp_time =
+    if kind = Expired then diff_now -. 60. else diff_now +. 4. +. Random.State.float rng 8.
+  in
+  let sent =
+    match kind with
+    | Expired -> exp_time -. 1.
+    | Stale -> diff_now -. 30.
+    | _ -> diff_now -. Random.State.float rng 0.5
+  in
+  let res_info : Packet.res_info =
+    {
+      src_as = asn 1;
+      res_id = 1 + Random.State.int rng 1_000_000;
+      bw = Bandwidth.of_mbps 100.;
+      exp_time;
+      version = 1;
+    }
+  in
+  let eer_info : Packet.eer_info =
+    { src_host = Ids.host 1; dst_host = Ids.host (1 + Random.State.int rng 50) }
+  in
+  let payload_len = Random.State.int rng 200 in
+  let hops = List.length path in
+  let ts = Timebase.Ts.of_times ~exp_time ~now:sent in
+  let hvfs = Array.init hops (fun _ -> Bytes.make 4 'x') in
+  let sigma =
+    Hvf.sigma_of_bytes
+      (Hvf.hop_auth secret ~res_info ~eer_info ~hop:(List.nth path 1))
+  in
+  let pkt_size = Packet.header_len ~hops + payload_len in
+  if kind <> Bad_hvf then hvfs.(1) <- Hvf.eer_hvf sigma ~ts ~pkt_size;
+  let pkt : Packet.t =
+    { kind = Packet.Eer; path; res_info; eer_info = Some eer_info; ts; hvfs; payload_len }
+  in
+  (Packet.to_bytes pkt, payload_len)
+
+let test_router_parallel_differential () =
+  let rng = Random.State.make [| 0xD1FF |] in
+  let n = 1400 in
+  let stream =
+    Array.init n (fun _ ->
+        let kind = diff_kinds.(Random.State.int rng (Array.length diff_kinds)) in
+        (kind, diff_frame rng kind))
+  in
+  let clock () = diff_now in
+  let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock (asn 2) in
+  let fwd = ref 0 and dlv = ref 0 in
+  Array.iter
+    (fun (_, (raw, payload_len)) ->
+      match Router.process_bytes r ~raw ~payload_len with
+      | Ok (Router.Forward _) -> incr fwd
+      | Ok (Router.Deliver _) -> incr dlv
+      | Ok Router.To_cserv -> Alcotest.fail "EER stream routed to CServ"
+      | Error _ -> ())
+    stream;
+  let expect k = Array.fold_left (fun n (k', _) -> if k' = k then n + 1 else n) 0 stream in
+  Alcotest.(check int) "bare router forwards every valid transit packet" (expect Fwd) !fwd;
+  Alcotest.(check int) "bare router delivers every valid last-hop packet" (expect Dlv) !dlv;
+  let pr = Dataplane_shard.Parallel_router.create ~secret ~clock ~workers:2 (asn 2) in
+  Array.iter
+    (fun (_, (raw, payload_len)) ->
+      match
+        while not (Dataplane_shard.Parallel_router.submit pr ~raw ~payload_len) do
+          Domain.cpu_relax ()
+        done
+      with
+      | () -> ()
+      | exception e -> Alcotest.failf "submit raised %s" (Printexc.to_string e))
+    stream;
+  Dataplane_shard.Parallel_router.drain pr;
+  Dataplane_shard.Parallel_router.shutdown pr;
+  Alcotest.(check int) "every packet processed" n
+    (Dataplane_shard.Parallel_router.processed pr);
+  let bare = Obs.Registry.snapshot (Router.metrics r) in
+  let par = Dataplane_shard.Parallel_router.metrics pr in
+  let counter snap name =
+    match List.assoc_opt name snap with Some (Obs.Counter c) -> c | _ -> 0
+  in
+  Alcotest.(check int) "forwarded + delivered agree" (!fwd + !dlv)
+    (counter par "par_router_forwarded_total");
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name (counter bare name) (counter par name))
+    ("router_forwarded_total"
+    :: List.map
+         (fun reason -> Obs.labeled "router_dropped_total" [ ("reason", reason) ])
+         [ "parse_error"; "not_on_path"; "expired_reservation"; "stale_timestamp";
+           "invalid_hvf"; "blocked_source"; "duplicate"; "policed" ]);
+  List.iter
+    (fun (k, reason) ->
+      Alcotest.(check int) ("stream exercises " ^ reason) (expect k)
+        (counter par (Obs.labeled "router_dropped_total" [ ("reason", reason) ])))
+    [ (Short, "parse_error"); (Off_path, "not_on_path"); (Expired, "expired_reservation");
+      (Stale, "stale_timestamp"); (Bad_hvf, "invalid_hvf") ]
+
 let suite =
   [
     Alcotest.test_case "spsc ring: fifo, capacity, backpressure" `Quick test_ring_fifo;
@@ -375,4 +496,6 @@ let suite =
       `Quick test_parallel_router_steady_state_zero_alloc;
     Alcotest.test_case "parallel router: shutdown is idempotent" `Quick
       test_parallel_router_shutdown_idempotent;
+    Alcotest.test_case "parallel router: same verdict counts as a bare router" `Quick
+      test_router_parallel_differential;
   ]

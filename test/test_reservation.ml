@@ -1,6 +1,5 @@
 (** Unit tests for reservation state and lifecycle (§4.2): version
-    validity, SegR activation, EER version semantics, plus the DSCP
-    mapping of Appendix B. *)
+    validity, SegR activation and EER version semantics. *)
 
 open Colibri_types
 open Colibri
@@ -106,25 +105,6 @@ let res_info_construction () =
   Alcotest.(check int) "src host" 1 ei.src_host.addr;
   Alcotest.(check int) "dst host" 2 ei.dst_host.addr
 
-let dscp_mapping () =
-  Alcotest.(check int) "data is EF" 0b101110
-    (Net.Dscp.of_class Net.Traffic_class.Colibri_data);
-  Alcotest.(check int) "control is CS6" 0b110000
-    (Net.Dscp.of_class Net.Traffic_class.Colibri_control);
-  (* Round trip for the three classes. *)
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) "roundtrip" true
-        (Net.Dscp.to_class (Net.Dscp.of_class cls) = cls))
-    Net.Traffic_class.all;
-  (* Unknown code points degrade, never upgrade. *)
-  Alcotest.(check bool) "unknown degrades" true
-    (Net.Dscp.to_class 0b011010 = Net.Traffic_class.Best_effort);
-  (* Gateway normalization overrides host marking (App. B). *)
-  Alcotest.(check int) "self-marked EF demoted" 0
-    (Net.Dscp.normalize ~host_marked:Net.Dscp.expedited_forwarding
-       ~classified:Net.Traffic_class.Best_effort)
-
 let suite =
   [
     Alcotest.test_case "lifetimes match paper" `Quick lifetimes_match_paper;
@@ -133,5 +113,4 @@ let suite =
     Alcotest.test_case "EER version semantics" `Quick eer_version_semantics;
     Alcotest.test_case "EER versions sorted and pruned" `Quick eer_valid_versions_sorted_and_pruned;
     Alcotest.test_case "ResInfo construction" `Quick res_info_construction;
-    Alcotest.test_case "DSCP mapping (App. B)" `Quick dscp_mapping;
   ]

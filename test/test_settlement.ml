@@ -1,7 +1,6 @@
 (** Tests for neighbor-to-neighbor settlement accounting (§9). *)
 
 open Colibri_types
-open Colibri
 
 let gbps = Bandwidth.of_gbps
 let asn n = Ids.asn ~isd:1 ~num:n

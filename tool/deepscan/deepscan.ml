@@ -88,7 +88,6 @@ let named_hot_roots =
   SS.of_list
     [
       "Router.process_bytes"; "Router.process_view"; "Gateway.send_bytes";
-      "Sharded_gateway.send_bytes"; "Sharded_router.process_bytes";
       "Ofd.observe"; "Token_bucket.admit"; "Duplicate_filter.check_and_insert";
       "Blocklist.is_blocked";
     ]
@@ -230,7 +229,7 @@ let attrs_allowed (attrs : Parsetree.attributes) : SS.t =
 (* ------------------------------ graph ------------------------------ *)
 
 type node = {
-  n_name : string; (* canonical, e.g. "Dataplane_shard.Sharded_router.process_bytes" *)
+  n_name : string; (* canonical, e.g. "Dataplane_shard.Parallel_router.submit" *)
   n_file : string; (* pos_fname as recorded by the compiler *)
   n_line : int;
   n_vb : value_binding;
@@ -319,7 +318,7 @@ let spine_of (e : expression) : expression list =
 
 (* Collect the top-level value bindings of a structure, descending
    into nested (and constrained) modules so shard workers like
-   [Dataplane_shard.Sharded_router.process_bytes] become nodes. *)
+   [Dataplane_shard.Parallel_router.worker_loop] become nodes. *)
 let collect_nodes (ctx : ctx) ~(m_name : string) (str : structure) :
     node list * (string, string) Hashtbl.t =
   let idents = Hashtbl.create 32 in
@@ -597,7 +596,7 @@ let d5_node (ctx : ctx) (node : node) ~(emit : Finding.t -> unit) : unit =
 (* ------------------------- closure + report ------------------------ *)
 
 (* Name map: every node under its full name plus dotted suffixes of
-   length >= 2, so [Sharded_router.process_bytes] resolves whether the
+   length >= 2, so [Parallel_router.submit] resolves whether the
    caller sits inside or outside [Dataplane_shard]. Ambiguous
    suffixes resolve to no node at all. *)
 let build_resolver (mods : modul list) : (string, node option) Hashtbl.t =

@@ -10,8 +10,8 @@
       from a [(* hot-path *)] root (transitively, across modules) that
       allocates: a denylisted stdlib call ([Bytes.create], [List.map],
       [Printf.sprintf], ...), a list cons, an array literal, or an
-      anonymous closure. The interprocedural generalization of the
-      token rule R7, which only sees the marked function itself.
+      anonymous closure. Allocation outside the hot closure is not
+      flagged.
     - [d2] — exception escape: a reachable [raise]/[failwith]/
       [invalid_arg]/[assert], or a partial stdlib call ([List.hd],
       [Option.get], [Hashtbl.find], ...), in the same hot closure.

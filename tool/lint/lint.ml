@@ -28,12 +28,6 @@
       is [min_int] (two's complement has no positive counterpart), so
       the subsequent [mod] is negative and the index lands out of
       bounds. Clear the sign bit with [land max_int] instead.
-    - {b hot-path-alloc} (R7): no [Bytes.create]/[Bytes.sub]/
-      [Bytes.copy]/[Bytes.extend]/[Buffer.create] inside a definition
-      marked [(* hot-path *)]. Those markers annotate the per-packet
-      wire path, which DESIGN.md §8 requires to be allocation-free;
-      fresh buffers there silently reintroduce GC pressure the gc
-      bench would only catch later.
 
     Escape hatch: a comment [(* lint: allow <rule> ... *)] suppresses
     the named rules (or [all]) on its own line and on the line
@@ -157,14 +151,7 @@ let patterns : pattern list =
 
 let rule_names =
   [ "poly-hash"; "hot-path-exn"; "mac-compare"; "missing-mli"; "nondet";
-    "negative-modulo"; "hot-path-alloc" ]
-
-let hot_alloc_tokens =
-  [ "Bytes.create"; "Bytes.sub"; "Bytes.copy"; "Bytes.extend"; "Buffer.create" ]
-
-let hot_alloc_message =
-  "allocation inside a (* hot-path *) definition; the per-packet wire path \
-   must reuse caller/scratch buffers (DESIGN.md §8)"
+    "negative-modulo" ]
 
 (* --------------------------- tokenization --------------------------- *)
 
@@ -254,50 +241,6 @@ let mask_comments_and_strings (src : string) : string =
   code 0;
   Bytes.to_string out
 
-(* --------------------------- hot-path regions ----------------------- *)
-
-let is_blank (s : string) : bool = String.trim s = ""
-
-let indent_of (s : string) : int =
-  let n = String.length s in
-  let rec go i = if i < n && (s.[i] = ' ' || s.[i] = '\t') then go (i + 1) else i in
-  go 0
-
-(** Lines covered by a [(* hot-path *)] marker (R7). The marker applies
-    to the definition beginning on the marker line itself (when it
-    carries code) or on the next non-blank line; the region then runs
-    until the next non-blank line indented at or left of the marker —
-    the following top-level item, or the enclosing [end]. Markers are
-    read from the {e raw} lines because masking blanks comments. *)
-let hot_path_regions (raw_lines : string array) (masked_lines : string array) :
-    bool array =
-  let n = Array.length raw_lines in
-  let hot = Array.make n false in
-  for i = 0 to n - 1 do
-    if contains raw_lines.(i) "(* hot-path *)" then begin
-      let mindent = indent_of raw_lines.(i) in
-      let start =
-        if not (is_blank masked_lines.(i)) then i
-        else begin
-          let j = ref (i + 1) in
-          while !j < n && is_blank masked_lines.(!j) do incr j done;
-          !j
-        end
-      in
-      let j = ref start in
-      let stop = ref (!j >= n) in
-      while not !stop do
-        hot.(!j) <- true;
-        incr j;
-        if
-          !j >= n
-          || ((not (is_blank raw_lines.(!j))) && indent_of raw_lines.(!j) <= mindent)
-        then stop := true
-      done
-    end
-  done;
-  hot
-
 (* ------------------------------ pragmas ------------------------------ *)
 
 (* Rules allowed on [line] by a [(* lint: allow r1 r2 *)] pragma on the
@@ -327,7 +270,6 @@ let split_lines (s : string) : string array =
 let lint_source ~(path : string) ~(in_lib : bool) (content : string) : finding list =
   let raw_lines = split_lines content in
   let masked_lines = split_lines (mask_comments_and_strings content) in
-  let hot = hot_path_regions raw_lines masked_lines in
   let findings = ref [] in
   Array.iteri
     (fun i masked ->
@@ -343,16 +285,7 @@ let lint_source ~(path : string) ~(in_lib : bool) (content : string) : finding l
             findings :=
               Finding.v ~file:path ~line ~rule:p.rule ~message:p.message
               :: !findings)
-        patterns;
-      if
-        hot.(i)
-        && List.exists (token_occurs masked) hot_alloc_tokens
-        && not (pragma_allows raw_lines line "hot-path-alloc")
-      then
-        findings :=
-          Finding.v ~file:path ~line ~rule:"hot-path-alloc"
-            ~message:hot_alloc_message
-          :: !findings)
+        patterns)
     masked_lines;
   List.rev !findings
 

@@ -1,6 +1,6 @@
 (** [colibri-lint]: project-specific static analysis.
 
-    Seven rules, each with a pragma name usable in a
+    Six rules, each with a pragma name usable in a
     [(* lint: allow <rule> ... *)] escape hatch (which suppresses the
     named rules — or [all] — on its own line and on the line
     immediately following):
@@ -20,10 +20,6 @@
     - [negative-modulo] (R6): no [abs … mod …] indexing anywhere —
       [abs min_int] stays negative, so the index goes out of bounds;
       use [land max_int] to clear the sign bit.
-    - [hot-path-alloc] (R7): no [Bytes.create]/[Bytes.sub]/[Bytes.copy]/
-      [Bytes.extend]/[Buffer.create] inside a definition marked
-      [(* hot-path *)]; the per-packet wire path must stay
-      allocation-free (DESIGN.md §8).
 
     Comment and string-literal contents are masked before token
     matching, so documentation never triggers findings. *)
@@ -50,7 +46,7 @@ module Baseline : module type of Baseline
     [colibri-deepscan] and [colibri-domaincheck]. *)
 
 val rule_names : string list
-(** The seven pragma names, in R1..R7 order. *)
+(** The six pragma names, in R1..R6 order. *)
 
 val lint_source : path:string -> in_lib:bool -> string -> finding list
 (** Lint one compilation unit given its content. [path] selects which
