@@ -377,8 +377,8 @@ let gc_mode () =
   print_newline ();
   Printf.printf
     "Target (DESIGN.md §8): only the verdict's result cells, 4 words/pkt,\n\
-     which the bare router meets. The gateway measured 39 words/pkt and the\n\
-     monitored router 54 when this was written; ROADMAP item 3 brings them down.\n"
+     which the bare and the monitored router meet. The gateway measured\n\
+     39 words/pkt when this was written; ROADMAP item 3 brings it down.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Par: the multicore substrate — SPSC ring transfer and the parallel  *)

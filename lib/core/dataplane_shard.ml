@@ -113,8 +113,10 @@ module Parallel_router = struct
     let processed = Obs.Registry.counter reg processed_key in
     let forwarded = Obs.Registry.counter reg forwarded_key in
     let dropped = Obs.Registry.counter reg dropped_key in
-    let rec loop () =
-      if Par.Spsc_ring.pop_into st.submit st.wscratch ~pos:0 ~len:1 = 1 then begin
+    (* Pop and process one job; [false] when the submit ring is empty. *)
+    let run_one () =
+      Par.Spsc_ring.pop_into st.submit st.wscratch ~pos:0 ~len:1 = 1
+      && begin
         let job = st.wscratch.(0) in
         st.wscratch.(0) <- st.nil;
         let t0 = mono () in
@@ -132,12 +134,20 @@ module Parallel_router = struct
         (* Ownership transfer back: after this push the worker must
            not touch [job] or its buffers again. *)
         Par.Spsc_ring.push_spin st.free job;
-        loop ()
+        true
       end
+    in
+    let rec loop () =
+      if run_one () then loop ()
       else if not (Atomic.get st.stop) then begin
         Domain.cpu_relax ();
         loop ()
       end
+      (* [shutdown] pushes its last batch before it sets [stop], so
+         that batch may have landed between the empty pop above and
+         the read of [stop]: look once more, and exit only on an empty
+         ring. *)
+      else if run_one () then loop ()
     in
     loop ()
 

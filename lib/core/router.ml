@@ -334,10 +334,17 @@ let process (t : t) ~(packet : Packet.t) ~(actual_size : int) :
                   (* Probabilistic monitoring over all EER flows. *)
                   (match (cls, t.ofd) with
                   | `Eer _, Some ofd ->
-                      let normalized =
-                        8. *. float_of_int actual_size /. Bandwidth.to_bps ri.bw
+                      (* The bandwidth as the wire carries it (clamped
+                         and rounded, as [Gateway] encodes it), so both
+                         paths feed the sketch the same normalized size. *)
+                      let bw_bps =
+                        int_of_float (Float.round (Bandwidth.to_bps (Bandwidth.clamp ri.bw)))
                       in
-                      (match Monitor.Ofd.observe ofd ~now ~key ~normalized with
+                      (match
+                         Monitor.Ofd.observe ofd ~now ~isd:key.src_as.isd
+                           ~num:key.src_as.num ~res_id:key.res_id
+                           ~bits:(8 * actual_size) ~bw_bps
+                       with
                       | `Suspect ->
                           t.stats.suspects_flagged <- t.stats.suspects_flagged + 1;
                           Obs.Counter.incr t.metrics.m_suspects;
@@ -451,24 +458,24 @@ let process_view (t : t) ~(actual_size : int) : (action, drop_reason) result =
                 (* Probabilistic monitoring over all EER flows. *)
                 (match t.ofd with
                 | Some ofd when is_eer ->
-                    let key : Ids.res_key =
-                      {
-                        src_as =
-                          Ids.asn ~isd:(Packet.View.src_isd v)
-                            ~num:(Packet.View.src_num v);
-                        res_id = Packet.View.res_id v;
-                      }
-                    in
-                    let bw_bps = float_of_int (Packet.View.bw_bps_int v) in
-                    let normalized = 8. *. float_of_int actual_size /. bw_bps in
-                    (match Monitor.Ofd.observe ofd ~now ~key ~normalized with
+                    let isd = Packet.View.src_isd v and num = Packet.View.src_num v in
+                    let res_id = Packet.View.res_id v in
+                    let bw_bps = Packet.View.bw_bps_int v in
+                    (match
+                       Monitor.Ofd.observe ofd ~now ~isd ~num ~res_id
+                         ~bits:(8 * actual_size) ~bw_bps
+                     with
                     | `Suspect ->
                         t.stats.suspects_flagged <- t.stats.suspects_flagged + 1;
                         Obs.Counter.incr t.metrics.m_suspects;
+                        let key : Ids.res_key =
+                          { src_as = Ids.asn ~isd ~num; res_id }
+                        in
                         if not (Ids.Res_key_tbl.mem t.watched key) then
                           Ids.Res_key_tbl.replace t.watched key
                             (Monitor.Token_bucket.create
-                               ~rate:(Bandwidth.of_bps bw_bps) ~burst:0.1 ~now)
+                               ~rate:(Bandwidth.of_bps (float_of_int bw_bps))
+                               ~burst:0.1 ~now)
                     | `Ok -> ())
                 | _ -> ());
                 t.stats.forwarded <- t.stats.forwarded + 1;

@@ -2,32 +2,33 @@
 
     Colibri needs AES only as a pseudo-random permutation underneath
     CMAC (hop-validation-field MACs, DRKey PRF) and CTR-mode AEAD, all
-    of which use the forward direction exclusively. The implementation
-    is word-oriented: each state column is one 32-bit word held in an
-    OCaml int, a round is sixteen lookups into four combined
-    SubBytes+MixColumns tables ("T-tables"), and the key schedule runs
-    on whole words. It is validated against the FIPS-197 and SP 800-38A
-    vectors and, differentially, against a byte-oriented reference
-    rendition of the standard in the test suite.
+    of which use the forward direction exclusively. Two kernels sit
+    behind one key type, and the CPU picks between them once, at
+    start-up:
 
-    Performance note: the paper's data plane uses AES-NI; a software
-    block is several times slower, which uniformly scales down the
-    absolute packet rates of the benchmarks without changing their
-    shape (see DESIGN.md §3, which also records that table lookups at
-    secret-dependent indices are not constant-time). *)
+    - AES-NI, as in the paper's gateway, routers and CServ: one AESENC
+      instruction per round, and AESENCLAST for SubWord in the key
+      schedule, in two allocation-free C stubs ([aes_stubs.c]);
+    - on CPUs without AES-NI, a word-oriented T-table kernel: each
+      state column is one 32-bit word held in an OCaml int, a round is
+      sixteen lookups into four combined SubBytes+MixColumns tables,
+      and the key schedule runs on whole words. Its table lookups at
+      secret-dependent indices are not constant-time (DESIGN.md §3).
 
-(* Words are little-endian: byte [r] of a column (state row [r]) sits
-   at bits [8r .. 8r+7], so a column loads from and stores to the
-   block with one [get_int32_le]/[set_int32_le]. Lookups sign-extend
-   bit 31; only the low 32 bits of any word are meaningful, and every
-   byte extraction masks. *)
+    Both kernels read and write the same schedule layout, and the test
+    suite checks both against the FIPS-197 and SP 800-38A vectors and,
+    differentially, against a byte-oriented reference rendition of the
+    standard. *)
 
-type key = int array
-(** The expanded schedule: 44 round-key words (11 round keys of four
-    columns each). Encryption only reads it, so the key carries no
+type key = bytes
+(** The expanded schedule: 176 bytes, 11 round keys in FIPS-197 byte
+    order, so AES-NI loads round key [r] whole from offset [16r] and
+    the T-table kernel reads column [c] of it as the little-endian word
+    at [16r + 4c]. Encryption only reads it, so the key carries no
     scratch state; {!rekey} rewrites it in place. *)
 
 let block_size = 16
+let schedule_size = 176
 
 let sbox =
   "\x63\x7c\x77\x7b\xf2\x6b\x6f\xc5\x30\x01\x67\x2b\xfe\xd7\xab\x76\
@@ -65,27 +66,36 @@ let ttables =
       Char.chr
         (match (r - t) land 3 with 0 -> s2 | 3 -> s2 lxor s | _ -> s))
 
+(* The T-table kernel. Words are little-endian: byte [r] of a column
+   (state row [r]) sits at bits [8r .. 8r+7], so a column loads from
+   and stores to the block or the schedule with one
+   [get_int32_le]/[set_int32_le]. Lookups sign-extend bit 31; only the
+   low 32 bits of any word are meaningful, and every byte extraction
+   masks. *)
+
 (* [te off] reads the table word at byte offset [off]; callers build
    [off] as [t·1024 + 4·x] straight from a state word, e.g.
    [(w lsr 6) land 0x3fc] is 4 × (row-1 byte of [w]). *)
 let[@inline] te off = Int32.to_int (String.get_int32_le ttables off)
 
-(* Load word [i] of the 16-byte block at [b+off]. *)
+(* Load word [i] of the 16-byte block at [b+off]; word [i] of the
+   schedule is column [i mod 4] of round key [i / 4]. *)
 let[@inline] load b off i = Int32.to_int (Bytes.get_int32_le b (off + (4 * i)))
+let[@inline] store b i w = Bytes.set_int32_le b (4 * i) (Int32.of_int w)
 
-(* Key-schedule core: expand the 16-byte key at [key+off] into [rk]
-   (44 words), in place. Shared by [expand] and [rekey]. One iteration
-   produces a whole round key: RotWord+SubWord+Rcon on the last word,
-   then a running XOR. The router re-runs this schedule per EER packet
-   (σ re-derivation), so it must not allocate. *)
+(* Key-schedule core: expand the 16-byte key at [key+off] into [rk],
+   in place. One iteration produces a whole round key:
+   RotWord+SubWord+Rcon on the last word, then a running XOR. The
+   router re-runs this schedule per EER packet (σ re-derivation), so it
+   must not allocate. *)
 (* hot-path *)
-let expand_into (rk : int array) (key : bytes) ~(off : int) =
+let tt_expand_into (rk : key) (key : bytes) ~(off : int) =
   let w0 = ref (load key off 0) and w1 = ref (load key off 1) in
   let w2 = ref (load key off 2) and w3 = ref (load key off 3) in
-  rk.(0) <- !w0;
-  rk.(1) <- !w1;
-  rk.(2) <- !w2;
-  rk.(3) <- !w3;
+  store rk 0 !w0;
+  store rk 1 !w1;
+  store rk 2 !w2;
+  store rk 3 !w3;
   for r = 1 to 10 do
     let p = !w3 in
     let t =
@@ -100,31 +110,11 @@ let expand_into (rk : int array) (key : bytes) ~(off : int) =
     w2 := !w2 lxor !w1;
     w3 := !w3 lxor !w2;
     let b = 4 * r in
-    rk.(b) <- !w0;
-    rk.(b + 1) <- !w1;
-    rk.(b + 2) <- !w2;
-    rk.(b + 3) <- !w3
+    store rk b !w0;
+    store rk (b + 1) !w1;
+    store rk (b + 2) !w2;
+    store rk (b + 3) !w3
   done
-
-(** Expand a 16-byte key into the 11-round-key schedule. *)
-let expand (key : bytes) : key =
-  if Bytes.length key <> 16 then invalid_arg "Aes.expand: key must be 16 bytes";
-  let rk = Array.make 44 0 in
-  expand_into rk key ~off:0;
-  rk
-
-let of_secret = expand
-let copy : key -> key = Array.copy
-
-(** [rekey k key ~off] re-expands the 16-byte secret at [key+off] into
-    [k]'s existing schedule. This is how the router derives the
-    per-reservation σ key without allocating (DESIGN.md §8). *)
-(* hot-path *)
-let rekey (k : key) (key : bytes) ~(off : int) =
-  (* Caller-contract guard: σ-key offsets come from validated headers. *)
-  if off < 0 || off + 16 > Bytes.length key then
-    invalid_arg "Aes.rekey: need 16 bytes" [@colibri.allow "d2"];
-  expand_into k key ~off
 
 (* Final-round column: SubBytes+ShiftRows without MixColumns, taking
    row [r] from [a_r], plus the round key. *)
@@ -144,29 +134,82 @@ let[@inline] round_col a0 a1 a2 a3 k =
   lxor te (3072 lor ((a3 lsr 22) land 0x3fc))
   lxor k
 
-(** [encrypt_block key ~src ~src_off ~dst ~dst_off] encrypts the
-    16-byte block at [src+src_off] into [dst+dst_off]. [src] and [dst]
-    may alias: the block is read whole before anything is written. The
-    four state columns live in locals. *)
+(* Encrypt the 16-byte block at [src+src_off] into [dst+dst_off]. The
+   block is read whole before anything is written, so [src] and [dst]
+   may alias. The four state columns live in locals. *)
 (* hot-path *)
-let encrypt_block (rk : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
-  let s0 = ref (load src src_off 0 lxor rk.(0)) in
-  let s1 = ref (load src src_off 1 lxor rk.(1)) in
-  let s2 = ref (load src src_off 2 lxor rk.(2)) in
-  let s3 = ref (load src src_off 3 lxor rk.(3)) in
+let tt_encrypt_block (rk : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
+  let s0 = ref (load src src_off 0 lxor load rk 0 0) in
+  let s1 = ref (load src src_off 1 lxor load rk 0 1) in
+  let s2 = ref (load src src_off 2 lxor load rk 0 2) in
+  let s3 = ref (load src src_off 3 lxor load rk 0 3) in
   for r = 1 to 9 do
-    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and b = 4 * r in
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and b = 16 * r in
     (* ShiftRows: column [j] takes row [r] from column [j + r]. *)
-    s0 := round_col a0 a1 a2 a3 rk.(b);
-    s1 := round_col a1 a2 a3 a0 rk.(b + 1);
-    s2 := round_col a2 a3 a0 a1 rk.(b + 2);
-    s3 := round_col a3 a0 a1 a2 rk.(b + 3)
+    s0 := round_col a0 a1 a2 a3 (load rk b 0);
+    s1 := round_col a1 a2 a3 a0 (load rk b 1);
+    s2 := round_col a2 a3 a0 a1 (load rk b 2);
+    s3 := round_col a3 a0 a1 a2 (load rk b 3)
   done;
   let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
-  Bytes.set_int32_le dst dst_off (Int32.of_int (last_col a0 a1 a2 a3 rk.(40)));
-  Bytes.set_int32_le dst (dst_off + 4) (Int32.of_int (last_col a1 a2 a3 a0 rk.(41)));
-  Bytes.set_int32_le dst (dst_off + 8) (Int32.of_int (last_col a2 a3 a0 a1 rk.(42)));
-  Bytes.set_int32_le dst (dst_off + 12) (Int32.of_int (last_col a3 a0 a1 a2 rk.(43)))
+  Bytes.set_int32_le dst dst_off (Int32.of_int (last_col a0 a1 a2 a3 (load rk 160 0)));
+  Bytes.set_int32_le dst (dst_off + 4)
+    (Int32.of_int (last_col a1 a2 a3 a0 (load rk 160 1)));
+  Bytes.set_int32_le dst (dst_off + 8)
+    (Int32.of_int (last_col a2 a3 a0 a1 (load rk 160 2)));
+  Bytes.set_int32_le dst (dst_off + 12)
+    (Int32.of_int (last_col a3 a0 a1 a2 (load rk 160 3)))
+
+(* The AES-NI kernel (aes_stubs.c). The stubs trust their arguments:
+   every caller below has checked the 16-byte spans, and a [key] is
+   always [schedule_size] bytes. *)
+external aesni_available : unit -> bool = "colibri_aesni_available" [@@noalloc]
+
+external aesni_expand : bytes -> (int[@untagged]) -> key -> unit
+  = "colibri_aesni_expand_byte" "colibri_aesni_expand"
+[@@noalloc]
+
+external aesni_encrypt :
+  key -> bytes -> (int[@untagged]) -> bytes -> (int[@untagged]) -> unit
+  = "colibri_aesni_encrypt_byte" "colibri_aesni_encrypt"
+[@@noalloc]
+
+(* Chosen once, from CPUID. *)
+let hardware = aesni_available ()
+
+(* Caller-contract guard for a 16-byte span: offsets on the wire path
+   come from validated headers, so this never fires per packet. *)
+let[@inline] check_span what (b : bytes) off =
+  if off < 0 || off > Bytes.length b - 16 then
+    invalid_arg what [@colibri.allow "d2"]
+
+(** Expand a 16-byte key into the 11-round-key schedule. *)
+let expand (key : bytes) : key =
+  if Bytes.length key <> 16 then invalid_arg "Aes.expand: key must be 16 bytes";
+  let rk = Bytes.create schedule_size in
+  if hardware then aesni_expand key 0 rk else tt_expand_into rk key ~off:0;
+  rk
+
+let of_secret = expand
+let copy : key -> key = Bytes.copy
+
+(** [rekey k key ~off] re-expands the 16-byte secret at [key+off] into
+    [k]'s existing schedule. This is how the router derives the
+    per-reservation σ key without allocating (DESIGN.md §8). *)
+(* hot-path *)
+let rekey (k : key) (key : bytes) ~(off : int) =
+  check_span "Aes.rekey: need 16 bytes" key off;
+  if hardware then aesni_expand key off k else tt_expand_into k key ~off
+
+(** [encrypt_block key ~src ~src_off ~dst ~dst_off] encrypts the
+    16-byte block at [src+src_off] into [dst+dst_off]; [src] and [dst]
+    may alias. *)
+(* hot-path *)
+let encrypt_block (rk : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
+  check_span "Aes.encrypt_block: need 16 bytes" src src_off;
+  check_span "Aes.encrypt_block: need 16 bytes" dst dst_off;
+  if hardware then aesni_encrypt rk src src_off dst dst_off
+  else tt_encrypt_block rk ~src ~src_off ~dst ~dst_off
 
 (** Convenience: encrypt one standalone 16-byte block. *)
 let encrypt (k : key) (block : bytes) : bytes =
@@ -174,3 +217,16 @@ let encrypt (k : key) (block : bytes) : bytes =
   let out = Bytes.create 16 in
   encrypt_block k ~src:block ~src_off:0 ~dst:out ~dst_off:0;
   out
+
+module Ttable = struct
+  let rekey (k : key) (key : bytes) ~(off : int) =
+    check_span "Aes.rekey: need 16 bytes" key off;
+    tt_expand_into k key ~off
+
+  let encrypt_block (rk : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
+    check_span "Aes.encrypt_block: need 16 bytes" src src_off;
+    check_span "Aes.encrypt_block: need 16 bytes" dst dst_off;
+    tt_encrypt_block rk ~src ~src_off ~dst ~dst_off
+end
+
+let schedule : key -> string = Bytes.to_string

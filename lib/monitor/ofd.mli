@@ -19,9 +19,19 @@ val create :
   ?width:int -> ?depth:int -> window:float -> threshold:float -> now:float -> unit -> t
 
 val observe :
-  t -> now:float -> key:Ids.res_key -> normalized:float -> [ `Ok | `Suspect ]
-(** Account one packet; [`Suspect] is reported at most once per flow
-    per window. *)
+  t ->
+  now:float ->
+  isd:Ids.isd ->
+  num:int ->
+  res_id:Ids.res_id ->
+  bits:int ->
+  bw_bps:int ->
+  [ `Ok | `Suspect ]
+(** Account one packet of [bits] bits on the flow [(isd-num, res_id)]
+    reserved at [bw_bps]: its normalized size is [bits / bw_bps].
+    [`Suspect] is reported at most once per flow per window. The
+    arguments after [now] are immediates, so the wire path neither
+    builds a flow key nor boxes a float to call this. *)
 
 val estimate : t -> Ids.res_key -> float
 (** Current sketch estimate (normalized seconds this window): the
@@ -29,6 +39,10 @@ val estimate : t -> Ids.res_key -> float
 
 val suspects : t -> Ids.res_key list
 (** Flows flagged in the current window. *)
+
+val hash4 : int -> int -> int -> int -> int
+(** [hash4 a b c d = Hashtbl.hash (a, b, c, d)], computed without
+    building the tuple: the sketch's slot function. *)
 
 val memory_bytes : t -> int
 val observed_packets : t -> int

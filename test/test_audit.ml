@@ -272,9 +272,6 @@ let prop_short_frames_parse_error =
             Domain.cpu_relax ()
           done)
         frames;
-      (* Drain first: [shutdown] straight after a submit can strand the
-         batch it flushes (ROADMAP, open items). *)
-      Dataplane_shard.Parallel_router.drain pr;
       Dataplane_shard.Parallel_router.shutdown pr;
       List.assoc_opt
         (Obs.labeled "router_dropped_total" [ ("reason", "parse_error") ])

@@ -215,9 +215,6 @@ let parallel_router_short_packet_is_parse_error () =
         (Dataplane_shard.Parallel_router.submit pr ~raw:(Bytes.make len '\000')
            ~payload_len:0))
     lens;
-  (* Drain first: [shutdown] straight after a submit can strand the
-     batch it flushes (ROADMAP, open items). *)
-  Dataplane_shard.Parallel_router.drain pr;
   Dataplane_shard.Parallel_router.shutdown pr;
   let m = Dataplane_shard.Parallel_router.metrics pr in
   let counter name =

@@ -243,13 +243,21 @@ let dup_memory_bounded () =
 
 let key src_num id : Ids.res_key = { src_as = Ids.asn ~isd:1 ~num:src_num; res_id = id }
 
+(* [Ofd.observe] for a flow key, with the packet's usage given in
+   normalized seconds: [normalized] seconds of a 1 Gbps reservation. *)
+let observe ofd ~now ~(key : Ids.res_key) ~normalized =
+  Monitor.Ofd.observe ofd ~now ~isd:key.src_as.isd ~num:key.src_as.num
+    ~res_id:key.res_id
+    ~bits:(Float.to_int (Float.round (normalized *. 1e9)))
+    ~bw_bps:1_000_000_000
+
 (* Drive [n] packets of a flow at [factor]× its reservation over [window]s. *)
 let drive_flow ofd ~key ~factor ~window ~n =
   let flagged = ref false in
   for i = 1 to n do
     let now = window *. float_of_int i /. float_of_int n in
     let normalized = factor *. window /. float_of_int n in
-    match Monitor.Ofd.observe ofd ~now ~key ~normalized with
+    match observe ofd ~now ~key ~normalized with
     | `Suspect -> flagged := true
     | `Ok -> ()
   done;
@@ -271,7 +279,7 @@ let ofd_no_false_negative_for_heavy_flow () =
   let ofd = Monitor.Ofd.create ~width:256 ~depth:2 ~window:1.0 ~threshold:1.2 ~now:0. () in
   (* Background noise. *)
   for i = 1 to 500 do
-    ignore (Monitor.Ofd.observe ofd ~now:0.1 ~key:(key 2 i) ~normalized:0.001)
+    ignore (observe ofd ~now:0.1 ~key:(key 2 i) ~normalized:0.001)
   done;
   Alcotest.(check bool) "heavy flow flagged despite noise" true
     (drive_flow ofd ~key:(key 1 3) ~factor:3.0 ~window:0.8 ~n:50)
@@ -284,7 +292,7 @@ let ofd_window_reset () =
   Alcotest.(check bool) "suspect recorded" true
     (List.exists (fun k -> Ids.equal_res_key k (key 1 4)) (Monitor.Ofd.suspects ofd));
   (* New window: counters and suspects reset. *)
-  ignore (Monitor.Ofd.observe ofd ~now:2.5 ~key:(key 1 5) ~normalized:0.001);
+  ignore (observe ofd ~now:2.5 ~key:(key 1 5) ~normalized:0.001);
   Alcotest.(check (list int)) "suspects cleared" []
     (List.map (fun _ -> 0) (Monitor.Ofd.suspects ofd));
   Alcotest.(check bool) "estimate reset" true
@@ -299,10 +307,10 @@ let ofd_versions_share_flow () =
   for i = 1 to 100 do
     let now = float_of_int i /. 100. in
     (* two "versions" interleaved, each at 0.75x → combined 1.5x *)
-    (match Monitor.Ofd.observe ofd ~now ~key:k ~normalized:0.0075 with
+    (match observe ofd ~now ~key:k ~normalized:0.0075 with
     | `Suspect -> flagged := true
     | `Ok -> ());
-    match Monitor.Ofd.observe ofd ~now ~key:k ~normalized:0.0075 with
+    match observe ofd ~now ~key:k ~normalized:0.0075 with
     | `Suspect -> flagged := true
     | `Ok -> ()
   done;
@@ -315,9 +323,9 @@ let ofd_memory_bounded () =
 let ofd_max_cell_gauge () =
   let ofd = Monitor.Ofd.create ~width:64 ~depth:2 ~window:1.0 ~threshold:1.2 ~now:0. () in
   Alcotest.(check (float 0.)) "empty sketch" 0. (Monitor.Ofd.max_cell ofd);
-  ignore (Monitor.Ofd.observe ofd ~now:0.1 ~key:(key 1 1) ~normalized:0.25);
-  ignore (Monitor.Ofd.observe ofd ~now:0.2 ~key:(key 1 1) ~normalized:0.25);
-  ignore (Monitor.Ofd.observe ofd ~now:0.3 ~key:(key 1 2) ~normalized:0.1);
+  ignore (observe ofd ~now:0.1 ~key:(key 1 1) ~normalized:0.25);
+  ignore (observe ofd ~now:0.2 ~key:(key 1 1) ~normalized:0.25);
+  ignore (observe ofd ~now:0.3 ~key:(key 1 2) ~normalized:0.1);
   (* Every row got 0.5 from flow 1; the max cell is ≥ that and the
      estimate never exceeds it. *)
   let m = Monitor.Ofd.max_cell ofd in
@@ -339,7 +347,7 @@ let prop_ofd_never_underestimates =
           let v = float_of_int amount /. 1000. in
           Hashtbl.replace truth flow
             (Option.value ~default:0. (Hashtbl.find_opt truth flow) +. v);
-          ignore (Monitor.Ofd.observe ofd ~now:1. ~key:k ~normalized:v))
+          ignore (observe ofd ~now:1. ~key:k ~normalized:v))
         obs;
       Hashtbl.fold
         (fun flow total acc ->

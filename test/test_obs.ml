@@ -300,9 +300,6 @@ let parallel_router_metrics_aggregate () =
   for _ = 1 to 5 do submit good 10 done;
   for _ = 1 to 3 do submit bad 10 done;
   for len = 0 to 31 do submit (Bytes.make len '\001') 0 done;
-  (* Drain first: [shutdown] straight after a submit can strand the
-     batch it flushes (ROADMAP, open items). *)
-  Dataplane_shard.Parallel_router.drain pr;
   Dataplane_shard.Parallel_router.shutdown pr;
   let m = Dataplane_shard.Parallel_router.metrics pr in
   let per_worker name =

@@ -19,6 +19,14 @@ open Colibri_types
 let key src_num id : Ids.res_key =
   { src_as = Ids.asn ~isd:1 ~num:src_num; res_id = id }
 
+(* [Ofd.observe] for a flow key, with the packet's usage given in
+   normalized seconds: [normalized] seconds of a 1 Gbps reservation. *)
+let observe ofd ~now ~(key : Ids.res_key) ~normalized =
+  Monitor.Ofd.observe ofd ~now ~isd:key.src_as.isd ~num:key.src_as.num
+    ~res_id:key.res_id
+    ~bits:(Float.to_int (Float.round (normalized *. 1e9)))
+    ~bw_bps:1_000_000_000
+
 let window = 1.0
 let threshold = 1.2
 
@@ -40,6 +48,27 @@ let true_sums trace =
     trace;
   truth
 
+(* The sketch's slot hash is a port of [caml_hash] over the unboxed
+   fields; it must agree with [Hashtbl.hash] on the tuple for every
+   int, including negative ones and those at or beyond 2^31, where
+   [caml_hash_mix_intnat] folds the high half and the sign. *)
+let prop_hash4_is_hashtbl_hash =
+  let field =
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          int_range (-1000) 1000;
+          map (fun d -> (1 lsl 31) + d) (int_range (-4) 4);
+          map (fun d -> -(1 lsl 31) + d) (int_range (-4) 4);
+          map (fun d -> (1 lsl 32) + d) (int_range (-4) 4);
+          oneofl [ min_int; max_int; 0x9e3779b9; -1 ];
+        ])
+  in
+  QCheck2.Test.make ~name:"ofd: hash4 = Hashtbl.hash of the 4-tuple" ~count:2000
+    QCheck2.Gen.(quad field field field field)
+    (fun (a, b, c, d) -> Monitor.Ofd.hash4 a b c d = Hashtbl.hash (a, b, c, d))
+
 let prop_never_underestimates =
   QCheck2.Test.make ~name:"ofd: estimate ≥ true per-flow sum" ~count:100
     trace_gen (fun trace ->
@@ -47,7 +76,7 @@ let prop_never_underestimates =
       List.iter
         (fun (flow, milli) ->
           ignore
-            (Monitor.Ofd.observe ofd ~now:0.5 ~key:(key 1 flow)
+            (observe ofd ~now:0.5 ~key:(key 1 flow)
                ~normalized:(float_of_int milli /. 1000.)))
         trace;
       Hashtbl.fold
@@ -64,7 +93,7 @@ let prop_heavy_flagged_once_per_window =
       List.iter
         (fun (flow, milli) ->
           match
-            Monitor.Ofd.observe ofd ~now:0.5 ~key:(key 1 flow)
+            observe ofd ~now:0.5 ~key:(key 1 flow)
               ~normalized:(float_of_int milli /. 1000.)
           with
           | `Suspect ->
@@ -98,8 +127,8 @@ let prop_observation_pure =
       List.iter
         (fun (flow, milli) ->
           let k = key 1 flow and v = float_of_int milli /. 1000. in
-          let a = Monitor.Ofd.observe quiet ~now:0.5 ~key:k ~normalized:v in
-          let b = Monitor.Ofd.observe probed ~now:0.5 ~key:k ~normalized:v in
+          let a = observe quiet ~now:0.5 ~key:k ~normalized:v in
+          let b = observe probed ~now:0.5 ~key:k ~normalized:v in
           (match (a, b) with
           | `Ok, `Ok | `Suspect, `Suspect -> ()
           | _ -> same := false);
@@ -128,9 +157,9 @@ let prop_observation_pure =
 
 let no_rotation_strictly_inside () =
   let ofd = fresh () in
-  ignore (Monitor.Ofd.observe ofd ~now:0.4 ~key:(key 1 1) ~normalized:0.6);
+  ignore (observe ofd ~now:0.4 ~key:(key 1 1) ~normalized:0.6);
   (* Just below the boundary: still the same window, usage accumulates. *)
-  ignore (Monitor.Ofd.observe ofd ~now:0.9999 ~key:(key 1 1) ~normalized:0.1);
+  ignore (observe ofd ~now:0.9999 ~key:(key 1 1) ~normalized:0.1);
   Alcotest.(check (float 1e-9)) "usage accumulated" 0.7
     (Monitor.Ofd.estimate ofd (key 1 1));
   Alcotest.(check int) "both packets this window" 2
@@ -138,10 +167,10 @@ let no_rotation_strictly_inside () =
 
 let rotation_at_exact_boundary () =
   let ofd = fresh () in
-  ignore (Monitor.Ofd.observe ofd ~now:0.4 ~key:(key 1 1) ~normalized:0.6);
+  ignore (observe ofd ~now:0.4 ~key:(key 1 1) ~normalized:0.6);
   (* At exactly now = window the sketch rotates and the boundary packet
      counts toward the NEW window: windows are [start, start+window). *)
-  ignore (Monitor.Ofd.observe ofd ~now:1.0 ~key:(key 1 2) ~normalized:0.25);
+  ignore (observe ofd ~now:1.0 ~key:(key 1 2) ~normalized:0.25);
   Alcotest.(check (float 1e-9)) "old window cleared" 0.
     (Monitor.Ofd.estimate ofd (key 1 1));
   Alcotest.(check (float 1e-9)) "boundary packet in new window" 0.25
@@ -150,11 +179,11 @@ let rotation_at_exact_boundary () =
     (Monitor.Ofd.observed_packets ofd);
   (* The next rotation is measured from the new start (2.0), not from
      elapsed packets: just below it stays in-window... *)
-  ignore (Monitor.Ofd.observe ofd ~now:1.9999 ~key:(key 1 2) ~normalized:0.1);
+  ignore (observe ofd ~now:1.9999 ~key:(key 1 2) ~normalized:0.1);
   Alcotest.(check (float 1e-9)) "second window accumulates" 0.35
     (Monitor.Ofd.estimate ofd (key 1 2));
   (* ...and exactly at it rotates again. *)
-  ignore (Monitor.Ofd.observe ofd ~now:2.0 ~key:(key 1 2) ~normalized:0.05);
+  ignore (observe ofd ~now:2.0 ~key:(key 1 2) ~normalized:0.05);
   Alcotest.(check (float 1e-9)) "third window fresh" 0.05
     (Monitor.Ofd.estimate ofd (key 1 2))
 
@@ -162,22 +191,23 @@ let suspects_reset_on_rotation () =
   let ofd = fresh () in
   let k = key 7 7 in
   (* Cross the threshold in window one: exactly one [`Suspect]. *)
-  let r1 = Monitor.Ofd.observe ofd ~now:0.2 ~key:k ~normalized:1.25 in
+  let r1 = observe ofd ~now:0.2 ~key:k ~normalized:1.25 in
   Alcotest.(check bool) "flagged on crossing" true (r1 = `Suspect);
-  let r2 = Monitor.Ofd.observe ofd ~now:0.3 ~key:k ~normalized:0.5 in
+  let r2 = observe ofd ~now:0.3 ~key:k ~normalized:0.5 in
   Alcotest.(check bool) "not re-flagged in same window" true (r2 = `Ok);
   (* After rotation the suspect set resets: the same flow overusing
      again is reported again — once per window, not once ever. *)
-  let r3 = Monitor.Ofd.observe ofd ~now:1.0 ~key:k ~normalized:1.25 in
+  let r3 = observe ofd ~now:1.0 ~key:k ~normalized:1.25 in
   Alcotest.(check bool) "re-flagged in next window" true (r3 = `Suspect);
   Alcotest.(check bool) "once in next window too" true
-    (Monitor.Ofd.observe ofd ~now:1.1 ~key:k ~normalized:0.5 = `Ok)
+    (observe ofd ~now:1.1 ~key:k ~normalized:0.5 = `Ok)
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_never_underestimates;
     QCheck_alcotest.to_alcotest prop_heavy_flagged_once_per_window;
     QCheck_alcotest.to_alcotest prop_observation_pure;
+    QCheck_alcotest.to_alcotest prop_hash4_is_hashtbl_hash;
     Alcotest.test_case "boundary: no rotation strictly inside window" `Quick
       no_rotation_strictly_inside;
     Alcotest.test_case "boundary: rotation at exactly now = window" `Quick

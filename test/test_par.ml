@@ -267,6 +267,43 @@ let test_parallel_router_drain_exact () =
   | Some (Obs.Counter c) -> Alcotest.(check int) "merged metrics agree" n c
   | _ -> Alcotest.fail "par_router_processed_total missing from metrics"
 
+(* [shutdown] alone delivers what it flushes: no [drain] first. Three
+   packets on two workers stay in the open batches until [shutdown]
+   pushes them, right before it tells the workers to stop, so a worker
+   that found its ring empty an instant earlier and then reads [stop]
+   must still look again. The race is narrow, so the pattern is
+   repeated. *)
+let test_parallel_router_shutdown_delivers () =
+  for round = 1 to 300 do
+    let pr =
+      Dataplane_shard.Parallel_router.create ~secret ~clock:(fun () -> 0.)
+        ~workers:2 (asn 2)
+    in
+    List.iter
+      (fun len ->
+        if not (Dataplane_shard.Parallel_router.submit pr ~raw:(Bytes.make len 'q')
+                  ~payload_len:0)
+        then Alcotest.fail "submit refused")
+      [ 3; 10; 17 ];
+    Dataplane_shard.Parallel_router.shutdown pr;
+    let processed = Dataplane_shard.Parallel_router.processed pr in
+    let m = Dataplane_shard.Parallel_router.metrics pr in
+    let counter name =
+      match List.assoc_opt name m with Some (Obs.Counter n) -> n | _ -> 0
+    in
+    let parse_errors =
+      counter (Obs.labeled "router_dropped_total" [ ("reason", "parse_error") ])
+    in
+    if
+      Dataplane_shard.Parallel_router.submitted pr <> 3
+      || processed <> 3
+      || counter "par_router_processed_total" <> 3
+      || parse_errors <> 3
+    then
+      Alcotest.failf "round %d: processed %d, metrics %d processed / %d parse errors of 3"
+        round processed (counter "par_router_processed_total") parse_errors
+  done
+
 (* Batches below [batch] stay in the orchestrator's open job until an
    explicit flush — and flush alone is enough to get them processed. *)
 let test_parallel_router_flush_partial () =
@@ -444,7 +481,6 @@ let test_router_parallel_differential () =
       | () -> ()
       | exception e -> Alcotest.failf "submit raised %s" (Printexc.to_string e))
     stream;
-  Dataplane_shard.Parallel_router.drain pr;
   Dataplane_shard.Parallel_router.shutdown pr;
   Alcotest.(check int) "every packet processed" n
     (Dataplane_shard.Parallel_router.processed pr);
@@ -494,6 +530,8 @@ let suite =
       test_parallel_router_submit_batch;
     Alcotest.test_case "parallel router: steady state allocates 0 minor words"
       `Quick test_parallel_router_steady_state_zero_alloc;
+    Alcotest.test_case "parallel router: shutdown delivers its flushed batch" `Quick
+      test_parallel_router_shutdown_delivers;
     Alcotest.test_case "parallel router: shutdown is idempotent" `Quick
       test_parallel_router_shutdown_idempotent;
     Alcotest.test_case "parallel router: same verdict counts as a bare router" `Quick

@@ -4,8 +4,9 @@
     accessors over the raw buffer; these properties pin it to the
     legacy [Packet.of_bytes] record decoder — same accept/reject
     verdict on arbitrary (also corrupted) buffers, identical field
-    values on accept — and a GC regression test asserts the warmed
-    router fast path allocates nothing. *)
+    values on accept — and GC regression tests assert that the warmed
+    router fast path allocates nothing, and the monitored one nothing
+    beyond its verdict. *)
 
 open Colibri_types
 open Colibri
@@ -118,27 +119,31 @@ let prop_view_differential =
 
 (* ---------- GC regression: the warmed fast path must not allocate ---- *)
 
-(* The probe topology: a 3-hop path through AS (1,2) carrying a valid
-   SegR packet; the bare router (no OFD, no duplicate filter) must
-   validate and route it without touching the minor heap. *)
+(* The probe topology: a 3-hop path through AS (1,2), whose router
+   holds [probe_secret]. *)
+let probe_path =
+  [
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:1) ~ingress:0 ~egress:2;
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:2) ~ingress:1 ~egress:2;
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:3) ~ingress:1 ~egress:0;
+  ]
+
+let probe_res_info : Packet.res_info =
+  {
+    src_as = Ids.asn ~isd:1 ~num:1;
+    res_id = 7;
+    bw = Bandwidth.of_gbps 100.;
+    exp_time = 1e9;
+    version = 1;
+  }
+
+let probe_secret = Hvf.as_secret_of_material (Bytes.make 16 'R')
+
+(* A valid SegR packet on the probe path; the bare router (no OFD, no
+   duplicate filter) must validate and route it without touching the
+   minor heap. *)
 let seg_packet_and_router () =
-  let path =
-    [
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:1) ~ingress:0 ~egress:2;
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:2) ~ingress:1 ~egress:2;
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:3) ~ingress:1 ~egress:0;
-    ]
-  in
-  let res_info : Packet.res_info =
-    {
-      src_as = Ids.asn ~isd:1 ~num:1;
-      res_id = 7;
-      bw = Bandwidth.of_gbps 100.;
-      exp_time = 1e9;
-      version = 1;
-    }
-  in
-  let secret = Hvf.as_secret_of_material (Bytes.make 16 'R') in
+  let path = probe_path and res_info = probe_res_info and secret = probe_secret in
   let hop = List.nth path 1 in
   let hvfs =
     Array.init 3 (fun j ->
@@ -185,6 +190,58 @@ let router_fast_path_zero_alloc () =
      reads; 10k packets at even 1 word each would blow far past it. *)
   if delta > 64. then
     Alcotest.failf "router fast path allocated %.0f minor words over %d packets"
+      delta n
+
+(* The monitored router (OFD and duplicate filter on, their defaults)
+   on transit EER traffic: a distinct timestamp per packet keeps every
+   one fresh for the duplicate filter, and a 100 Gbps reservation
+   keeps the flow far below the OFD threshold. What may be allocated
+   is the verdict alone, [Ok (Forward egress)]: 4 words per packet. *)
+let monitored_router_alloc () =
+  let path = probe_path and res_info = probe_res_info and secret = probe_secret in
+  let eer_info : Packet.eer_info = { src_host = Ids.host 1; dst_host = Ids.host 2 } in
+  let sigma =
+    Hvf.sigma_of_bytes (Hvf.hop_auth secret ~res_info ~eer_info ~hop:(List.nth path 1))
+  in
+  let pkt_size = Packet.header_len ~hops:3 in
+  let warm = 1_000 and n = 10_000 in
+  let batch =
+    Array.init (warm + n) (fun i ->
+        let ts = Timebase.Ts.of_int (1_000_000_000 - i) in
+        Packet.to_bytes
+          {
+            Packet.kind = Packet.Eer;
+            path;
+            res_info;
+            eer_info = Some eer_info;
+            ts;
+            hvfs =
+              Array.init 3 (fun j ->
+                  if j = 1 then Hvf.eer_hvf sigma ~ts ~pkt_size
+                  else Bytes.make Packet.hvf_len 'x');
+            payload_len = 0;
+          })
+  in
+  let router =
+    Router.create ~freshness_window:1e12 ~secret ~clock:(fun () -> 0.)
+      (Ids.asn ~isd:1 ~num:2)
+  in
+  let run i =
+    match Router.process_bytes router ~raw:batch.(i) ~payload_len:0 with
+    | Ok (Router.Forward 2) -> ()
+    | _ -> Alcotest.fail "transit EER packet not forwarded"
+  in
+  for i = 0 to warm - 1 do
+    run i
+  done;
+  let before = Gc.minor_words () in
+  for i = warm to warm + n - 1 do
+    run i
+  done;
+  let delta = Gc.minor_words () -. before in
+  (* Same slack as above, over the 4-word verdict. *)
+  if delta > float_of_int (4 * n) +. 64. then
+    Alcotest.failf "monitored router allocated %.0f minor words over %d packets"
       delta n
 
 (* ---------- Gateway wire path: send_bytes ≡ send, byte for byte ----- *)
@@ -254,6 +311,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_view_differential;
     Alcotest.test_case "router fast path: 0 minor words/packet" `Quick
       router_fast_path_zero_alloc;
+    Alcotest.test_case "monitored router: 4 minor words/packet (the verdict)" `Quick
+      monitored_router_alloc;
     Alcotest.test_case "gateway send_bytes ≡ send (byte-identical)" `Quick
       gateway_send_bytes_differential;
     Alcotest.test_case "gateway send_bytes drop verdicts" `Quick
