@@ -51,10 +51,14 @@ module Acc (T : Hashtbl.S) = struct
   let get (t : t) k = Option.value ~default:0. (T.find_opt t k)
 
   (* Saturating, not plain (+.): one crafted inf/2^63-bps demand must
-     not poison an accumulator every later admission divides by. *)
+     not poison an accumulator every later admission divides by.
+     A removal that cancels the sum leaves rounding residue of the
+     order of the operands (1e-6 bps after Gbps-sized terms), so the
+     zero test is relative to [dv]: a key whose entries are all gone
+     is dropped, not kept with a residue [audit] reports as stale. *)
   let add (t : t) k dv =
     let v = Bandwidth.saturating_add (get t k) dv in
-    if v <= 1e-9 then T.remove t k else T.replace t k v
+    if v <= 1e-9 *. Float.max 1. (Float.abs dv) then T.remove t k else T.replace t k v
 
   (* Recompute-and-diff support for [audit]: fold [items] into a fresh
      accumulator with [fold], then report every key whose recomputed
