@@ -409,6 +409,21 @@ let lookup_eer_routes (t : t) ~(src : Ids.asn) ~(dst : Ids.asn) : eer_route list
       !routes
   end
 
+(* Path choice (§2.1): look the routes up and try each in order until
+   one grants. [attempt] reports a route's outcome through its
+   continuation, so the one loop serves both transports. *)
+let choose_route (t : t) ~(src : Ids.asn) ~(dst : Ids.asn)
+    ~(attempt : eer_route -> (('r, string) result -> unit) -> unit)
+    (k : ('r, string) result -> unit) : unit =
+  let rec next last_err = function
+    | [] ->
+        let none = Fmt.str "no SegR route from %a to %a" Ids.pp_asn src Ids.pp_asn dst in
+        k (Error (Option.value last_err ~default:none))
+    | route :: rest ->
+        attempt route (function Ok r -> k (Ok r) | Error e -> next (Some e) rest)
+  in
+  next None (lookup_eer_routes t ~src ~dst)
+
 (* ---------------- End-to-end-reservation orchestration ------------- *)
 
 (** Like {!setup_eer} but also returns the version and the unsealed
@@ -432,17 +447,11 @@ let setup_eer ?renew (t : t) ~(route : eer_route) ~(src_host : Ids.host)
     one; tries alternatives on failure (path choice, §2.1). *)
 let setup_eer_auto (t : t) ~(src : Ids.asn) ~(src_host : Ids.host) ~(dst : Ids.asn)
     ~(dst_host : Ids.host) ~(bw : Bandwidth.t) : (Reservation.eer, string) result =
-  let rec try_routes last_err = function
-    | [] ->
-        Error
-          (Option.value last_err
-             ~default:(Fmt.str "no SegR route from %a to %a" Ids.pp_asn src Ids.pp_asn dst))
-    | route :: rest -> (
-        match setup_eer t ~route ~src_host ~dst_host ~bw with
-        | Ok eer -> Ok eer
-        | Error e -> try_routes (Some e) rest)
-  in
-  try_routes None (lookup_eer_routes t ~src ~dst)
+  let result = ref (Error "path choice never concluded") in
+  choose_route t ~src ~dst
+    ~attempt:(fun route k -> k (setup_eer t ~route ~src_host ~dst_host ~bw))
+    (fun r -> result := r);
+  !result
 
 (* ---------------- Networked control plane ---------------- *)
 
@@ -657,28 +666,42 @@ let setup_eer_sync ?renew ?protection ?(timeout = 120.) (t : t) ~(route : eer_ro
   run_until_result t ~timeout (fun on_result ->
       setup_eer_net ?renew ?protection t ~route ~src_host ~dst_host ~bw ~on_result)
 
+let setup_eer_auto_sync (t : t) ~(src : Ids.asn) ~(src_host : Ids.host)
+    ~(dst : Ids.asn) ~(dst_host : Ids.host) ~(bw : Bandwidth.t) :
+    (Reservation.eer, string) result =
+  run_until_result t ~timeout:120. (fun on_result ->
+      choose_route t ~src ~dst
+        ~attempt:(fun route k ->
+          setup_eer_net t ~route ~src_host ~dst_host ~bw ~on_result:k)
+        on_result)
+
 (* ---------------- Renewal before expiry ---------------- *)
 
-(* The renewal state machine (§4.2 + §5.3): a managed reservation is
-   renewed over itself at a configurable fraction of its lifetime; on
-   failure it retries while the reservation is still valid, and once it
-   lapses it degrades to a best-effort fresh setup (new res_id, so the
-   managed key changes). After [max_recovery_failures] consecutive
-   failed recoveries the machine gives up. Every outcome is counted in
-   the network registry. *)
+(* The renewal state machine (§4.2 + §5.3, documented in the .mli):
+   renew over itself, retry while valid, degrade to a fresh setup under
+   a new res_id once lapsed — over a freshly chosen route if an EER's
+   route died — and give up after [max_recovery_failures] consecutive
+   failures. Outcomes are counted in the registry and per handle. *)
+
+type origin =
+  | Segr of { kind : Reservation.seg_kind; path : Path.t; min_bw : Bandwidth.t }
+  | Eer of { mutable route : eer_route; src_host : Ids.host; dst_host : Ids.host }
 
 type managed = {
   mutable mkey : Ids.res_key;
-  origin :
-    [ `Segr of Reservation.seg_kind * Path.t * Bandwidth.t * Bandwidth.t
-    | `Eer of eer_route * Ids.host * Ids.host * Bandwidth.t ];
-  fraction : float; (* of the lifetime elapsed when renewal starts *)
+  origin : origin;
+  mutable demand : Bandwidth.t; (* an EER's bw, a SegR's max_bw *)
   mutable stopped : bool;
   mutable failures : int; (* consecutive, reset on any success *)
+  mutable renewed : int; (* successful renewals and recoveries *)
+  mutable failed : int; (* failed ones *)
 }
 
 let managed_key (m : managed) = m.mkey
 let stop_renewal (m : managed) = m.stopped <- true
+let set_demand (m : managed) (bw : Bandwidth.t) = m.demand <- bw
+let renewals (m : managed) = m.renewed
+let renewal_failures (m : managed) = m.failed
 
 let max_recovery_failures = 5
 let recovery_backoff failures = Float.min 8. (0.5 *. (2. ** float_of_int failures))
@@ -687,45 +710,73 @@ let recovery_backoff failures = Float.min 8. (0.5 *. (2. ** float_of_int failure
    it is gone or never activated. *)
 let managed_expiry (t : t) (m : managed) : Timebase.t option =
   match m.origin with
-  | `Segr _ -> (
-      match Cserv.own_segr (cserv t m.mkey.src_as) m.mkey with
-      | Some s -> Option.map (fun (v : Reservation.version) -> v.exp_time) s.active
-      | None -> None)
-  | `Eer _ -> (
+  | Segr _ ->
+      Option.bind (Cserv.own_segr (cserv t m.mkey.src_as) m.mkey) (fun s ->
+          Option.map (fun (v : Reservation.version) -> v.exp_time) s.active)
+  | Eer _ -> (
       match Cserv.own_eer (cserv t m.mkey.src_as) m.mkey with
-      | Some e ->
-          List.fold_left
-            (fun acc (v : Reservation.version) ->
-              match acc with
-              | None -> Some v.exp_time
-              | Some x -> Some (Float.max x v.exp_time))
-            None
-            (Reservation.eer_valid_versions e ~now:(now t))
-      | None -> None)
+      | None -> None
+      | Some e -> (
+          match Reservation.eer_valid_versions e ~now:(now t) with
+          | [] -> None
+          | v :: vs ->
+              Some
+                (List.fold_left
+                   (fun x (v : Reservation.version) -> Float.max x v.exp_time)
+                   v.exp_time vs)))
 
-let lifetime_of (m : managed) =
+(* How long before expiry renewal starts: once 0.7 of a SegR's and 0.5
+   of an EER's lifetime has elapsed. *)
+let renew_lead (m : managed) =
   match m.origin with
-  | `Segr _ -> Reservation.segr_lifetime
-  | `Eer _ -> Reservation.eer_lifetime
+  | Segr _ -> (1. -. 0.7) *. Reservation.segr_lifetime
+  | Eer _ -> (1. -. 0.5) *. Reservation.eer_lifetime
+
+(* Is every SegR of [route] live at its initiator: known there, with a
+   valid active version? (The source's cached descriptions keep the
+   expiry seen at lookup, so they would call a renewed SegR dead.) *)
+let route_live (t : t) (route : eer_route) : bool =
+  let now_ = now t in
+  List.for_all
+    (fun (k : Ids.res_key) ->
+      match Cserv.own_segr (cserv t k.src_as) k with
+      | Some s -> Bandwidth.is_positive (Reservation.segr_bw s ~now:now_)
+      | None -> false)
+    route.segr_keys
 
 (* A networked setup of the managed reservation — a renewal over
    [renew], or a fresh setup — reporting the resulting key. Renewals
    leave a SegR's new version pending (§4.2); activation is
    instantaneous here — the activation message rides the reservation
-   itself and is not part of the modeled failure surface. *)
+   itself and is not part of the modeled failure surface. A fresh EER
+   setup over a dead route chooses a new route and keeps it. *)
 let setup_managed ?renew ?protection (t : t) (m : managed)
     (on_result : (Ids.res_key, string) result -> unit) : unit =
   match m.origin with
-  | `Segr (kind, path, max_bw, min_bw) ->
-      setup_segr_net ?renew ?protection t ~path ~kind ~max_bw ~min_bw
+  | Segr { kind; path; min_bw } ->
+      setup_segr_net ?renew ?protection t ~path ~kind ~max_bw:m.demand ~min_bw
         ~on_result:(fun r ->
           on_result
             (Result.bind r (fun (s : Reservation.segr) ->
                  if Option.is_none renew then Ok s.key
                  else Result.map (fun () -> s.key) (activate_segr t ~key:s.key))))
-  | `Eer (route, src_host, dst_host, bw) ->
-      setup_eer_net ?renew ?protection t ~route ~src_host ~dst_host ~bw
-        ~on_result:(fun r -> on_result (Result.map (fun (e : Reservation.eer) -> e.key) r))
+  | Eer e ->
+      let on_eer r = on_result (Result.map (fun (eer : Reservation.eer) -> eer.key) r) in
+      if Option.is_some renew || route_live t e.route then
+        setup_eer_net ?renew ?protection t ~route:e.route ~src_host:e.src_host
+          ~dst_host:e.dst_host ~bw:m.demand ~on_result:on_eer
+      else
+        choose_route t ~src:(Path.source e.route.path)
+          ~dst:(Path.destination e.route.path)
+          ~attempt:(fun route k ->
+            setup_eer_net ?protection t ~route ~src_host:e.src_host
+              ~dst_host:e.dst_host ~bw:m.demand ~on_result:k)
+          (fun r ->
+            Result.iter
+              (fun (eer : Reservation.eer) ->
+                e.route <- { path = eer.path; segr_keys = eer.segr_keys })
+              r;
+            on_eer r)
 
 (* Renew over the existing reservation; on a lapse, degrade to a fresh
    best-effort setup under the new key. *)
@@ -743,6 +794,7 @@ let rec renew_cycle (t : t) (m : managed) : unit =
       let on_result = function
         | Ok _ ->
             m.failures <- 0;
+            m.renewed <- m.renewed + 1;
             let late =
               match old_exp with Some e -> now t >= e | None -> true
             in
@@ -750,6 +802,7 @@ let rec renew_cycle (t : t) (m : managed) : unit =
             schedule_next t m
         | Error _ ->
             m.failures <- m.failures + 1;
+            m.failed <- m.failed + 1;
             let still_valid =
               match managed_expiry t m with Some e -> now t < e | None -> false
             in
@@ -772,10 +825,12 @@ and degrade (t : t) (m : managed) : unit =
       | Ok (key : Ids.res_key) ->
           m.mkey <- key;
           m.failures <- 0;
+          m.renewed <- m.renewed + 1;
           Obs.Counter.incr n.m_renew_recovered;
           schedule_next t m
       | Error _ ->
           m.failures <- m.failures + 1;
+          m.failed <- m.failed + 1;
           if m.failures > max_recovery_failures then begin
             Obs.Counter.incr n.m_renew_gave_up;
             m.stopped <- true
@@ -795,55 +850,31 @@ and schedule_next (t : t) (m : managed) : unit =
         (* Nothing valid to renew over anymore. *)
         Net.Engine.schedule t.engine ~delay:0. (fun () -> degrade t m)
     | Some exp ->
-        let at = exp -. ((1. -. m.fraction) *. lifetime_of m) in
+        let at = exp -. renew_lead m in
         if at <= now t then
           Net.Engine.schedule t.engine ~delay:0. (fun () -> renew_cycle t m)
         else Net.Engine.schedule_at t.engine ~time:at (fun () -> renew_cycle t m)
 
-(** Keep a SegR alive: renew it over itself once [fraction] of its
-    lifetime has elapsed, degrade to a fresh setup when it lapses.
-    [max_bw]/[min_bw] are reused for renewals and recoveries. *)
-let auto_renew_segr ?(fraction = 0.7) (t : t) ~(key : Ids.res_key)
-    ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t) : (managed, string) result =
-  if fraction <= 0. || fraction >= 1. then
-    invalid_arg "Deployment.auto_renew_segr: fraction outside (0,1)";
+let manage (t : t) (key : Ids.res_key) (origin : origin) ~(demand : Bandwidth.t) :
+    managed =
+  let m =
+    { mkey = key; origin; demand; stopped = false; failures = 0; renewed = 0; failed = 0 }
+  in
+  schedule_next t m;
+  m
+
+let auto_renew_segr (t : t) ~(key : Ids.res_key) ~(max_bw : Bandwidth.t)
+    ~(min_bw : Bandwidth.t) : (managed, string) result =
   match Cserv.own_segr (cserv t key.src_as) key with
   | None -> Error "auto_renew_segr: unknown SegR at initiator"
-  | Some s ->
-      let m =
-        {
-          mkey = key;
-          origin = `Segr (s.kind, s.path, max_bw, min_bw);
-          fraction;
-          stopped = false;
-          failures = 0;
-        }
-      in
-      schedule_next t m;
-      Ok m
+  | Some s -> Ok (manage t key (Segr { kind = s.kind; path = s.path; min_bw }) ~demand:max_bw)
 
-(** Keep an EER alive by renewing before each 16 s version expires
-    (§4.2: versions overlap, so traffic never stalls while the renewal
-    is in flight). *)
-let auto_renew_eer ?(fraction = 0.5) (t : t) ~(key : Ids.res_key)
-    ~(route : eer_route) ~(src_host : Ids.host) ~(dst_host : Ids.host)
-    ~(bw : Bandwidth.t) : (managed, string) result =
-  if fraction <= 0. || fraction >= 1. then
-    invalid_arg "Deployment.auto_renew_eer: fraction outside (0,1)";
+let auto_renew_eer (t : t) ~(key : Ids.res_key) ~(route : eer_route)
+    ~(src_host : Ids.host) ~(dst_host : Ids.host) ~(bw : Bandwidth.t) :
+    (managed, string) result =
   match Cserv.own_eer (cserv t key.src_as) key with
   | None -> Error "auto_renew_eer: unknown EER at initiator"
-  | Some _ ->
-      let m =
-        {
-          mkey = key;
-          origin = `Eer (route, src_host, dst_host, bw);
-          fraction;
-          stopped = false;
-          failures = 0;
-        }
-      in
-      schedule_next t m;
-      Ok m
+  | Some _ -> Ok (manage t key (Eer { route; src_host; dst_host }) ~demand:bw)
 
 (** Audit every AS's admission state; [[]] means no AS leaks. *)
 let audit_all (t : t) : string list =

@@ -216,31 +216,43 @@ val setup_eer_sync :
   bw:Bandwidth.t ->
   (Reservation.eer, string) result
 
+val setup_eer_auto_sync :
+  t ->
+  src:Ids.asn ->
+  src_host:Ids.host ->
+  dst:Ids.asn ->
+  dst_host:Ids.host ->
+  bw:Bandwidth.t ->
+  (Reservation.eer, string) result
+(** Networked {!setup_eer_auto}, blocking: the same path choice over
+    {!setup_eer_net}, running the engine until a route grants or all
+    failed (at most 120 simulated seconds). *)
+
 (** {1 Renewal before expiry}
 
-    A managed reservation is renewed over itself once a configurable
-    fraction of its lifetime has elapsed (§4.2); while it stays valid,
-    failed renewals retry with capped backoff; once it lapses the
-    machine degrades to a best-effort fresh setup under a new key, and
-    gives up after repeated failed recoveries. Outcomes are counted in
-    {!network_metrics} as [renewal_{started,ok,late,degraded,recovered,
-    gave_up}_total]. *)
+    The one renewal machine. A managed reservation is renewed over
+    itself once 0.7 (SegR) or 0.5 (EER) of its lifetime has elapsed
+    (§4.2); while it stays valid, failed renewals retry with capped
+    backoff; once it lapses the machine degrades to a best-effort
+    fresh setup under a new key, and gives up after repeated failed
+    recoveries. An EER recovers over its stored route while every SegR
+    in it is live at its initiator, and otherwise by path choice over
+    a fresh {!lookup_eer_routes} (§2.1). Outcomes are counted in
+    {!network_metrics} as [renewal_{started,ok,late,degraded,
+    recovered,gave_up}_total]. Needs {!attach_network}. *)
 
 type managed
 
 val auto_renew_segr :
-  ?fraction:float ->
   t ->
   key:Ids.res_key ->
   max_bw:Bandwidth.t ->
   min_bw:Bandwidth.t ->
   (managed, string) result
-(** Keep a SegR alive (renewal at [fraction = 0.7] of the lifetime by
-    default). [max_bw]/[min_bw] are reused for renewals and
-    recoveries. *)
+(** Keep a SegR alive. [max_bw] is the demand ({!set_demand});
+    [min_bw] is reused for renewals and recoveries. *)
 
 val auto_renew_eer :
-  ?fraction:float ->
   t ->
   key:Ids.res_key ->
   route:eer_route ->
@@ -249,10 +261,19 @@ val auto_renew_eer :
   bw:Bandwidth.t ->
   (managed, string) result
 (** Keep an EER alive by renewing before each version expires;
-    versions overlap so traffic never stalls (§4.2). *)
+    [bw] is the demand ({!set_demand}). *)
 
 val managed_key : managed -> Ids.res_key
 (** The current key — changes when a lapse forces a fresh setup. *)
+
+val set_demand : managed -> Bandwidth.t -> unit
+(** The bandwidth the next renewal or recovery requests (an EER's
+    [bw], a SegR's [max_bw]) — "possibly adjust the bandwidth to
+    shifting traffic demands" (§4.2). *)
+
+val renewals : managed -> int
+val renewal_failures : managed -> int
+(** Successful and failed renewals and recoveries of this handle. *)
 
 val stop_renewal : managed -> unit
 

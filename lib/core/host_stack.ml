@@ -2,13 +2,13 @@
 
     Colibri modifies the end-host stack (the SCION daemon) so that an
     application can explicitly request and renew EERs. This module
-    models that stack for one host: it performs the SegR route lookup
-    (Appendix C), sets up the EER, and — crucially — schedules
-    automatic renewals ahead of every expiry on the simulation engine,
-    so an application-level flow transparently outlives the 16-second
-    EER lifetime (§4.2). Renewal requests adapt the bandwidth when the
-    application changes its demand, and a failed renewal falls back to
-    an alternative route (path choice, §2.1) before reporting an error.
+    models that stack for one host as a thin layer over the
+    deployment's one renewal machine: opening a flow is path choice
+    (§2.1, Appendix C) over the networked EER setup, handed to
+    {!Deployment.auto_renew_eer}, so an application-level flow
+    transparently outlives the 16-second EER lifetime (§4.2), renews
+    under loss with retries, and falls back to another route when the
+    SegRs under it lapse.
 
     Any transport can run on top: the gateway drops packets exceeding
     the guaranteed bandwidth, which acts as the congestion signal; a
@@ -19,12 +19,8 @@ open Colibri_types
 
 type flow = {
   stack : t;
-  mutable eer : Reservation.eer;
-  mutable requested_bw : Bandwidth.t;
+  managed : Deployment.managed;
   mutable open_ : bool;
-  mutable renewals : int;
-  mutable renewal_failures : int;
-  mutable sent : int;
   mutable delivered : int;
 }
 
@@ -32,125 +28,69 @@ and t = {
   deployment : Deployment.t;
   asn : Ids.asn;
   host : Ids.host;
-  renew_margin : Timebase.t; (* renew when this close to expiry *)
   mutable flows : flow list;
 }
 
-let create ?(renew_margin = 5.) (deployment : Deployment.t) ~(asn : Ids.asn)
-    ~(host : Ids.host) : t =
-  if renew_margin <= 1. || renew_margin >= Reservation.eer_lifetime then
-    invalid_arg "Host_stack.create: renew_margin out of range";
-  { deployment; asn; host; renew_margin; flows = [] }
+let create (deployment : Deployment.t) ~(asn : Ids.asn) ~(host : Ids.host) : t =
+  { deployment; asn; host; flows = [] }
 
-let route_of (eer : Reservation.eer) : Deployment.eer_route =
-  { path = eer.path; segr_keys = eer.segr_keys }
-
-(* Renew [f], falling back to a fresh route lookup if the current
-   route's SegRs lapsed. *)
-let renew_flow (f : flow) ~(dst : Ids.asn) ~(dst_host : Ids.host) : bool =
-  let d = f.stack.deployment in
-  let attempt route =
-    Deployment.setup_eer ~renew:f.eer.key d ~route ~src_host:f.stack.host ~dst_host
-      ~bw:f.requested_bw
-  in
-  match attempt (route_of f.eer) with
-  | Ok eer ->
-      f.eer <- eer;
-      f.renewals <- f.renewals + 1;
-      true
-  | Error _ -> (
-      (* Path choice: retry over the alternatives. A renewal must keep
-         the reservation key, which is bound to its path, so a new
-         route means a fresh EER replacing the old one. *)
-      match
-        Deployment.setup_eer_auto d ~src:f.stack.asn ~src_host:f.stack.host ~dst
-          ~dst_host ~bw:f.requested_bw
-      with
-      | Ok eer ->
-          f.eer <- eer;
-          f.renewals <- f.renewals + 1;
-          true
-      | Error _ ->
-          f.renewal_failures <- f.renewal_failures + 1;
-          false)
-
-(* Schedule the next renewal tick for [f]. *)
-let rec arm_renewal (f : flow) ~dst ~dst_host =
-  let d = f.stack.deployment in
-  let now = Deployment.now d in
-  match Reservation.eer_current_version f.eer ~now with
-  | None -> () (* lapsed; the flow is dead *)
-  | Some v ->
-      let fire_at = Float.max (now +. 0.01) (v.exp_time -. f.stack.renew_margin) in
-      Net.Engine.schedule_at (Deployment.engine d) ~time:fire_at (fun () ->
-          if f.open_ then begin
-            ignore (renew_flow f ~dst ~dst_host);
-            arm_renewal f ~dst ~dst_host
-          end)
-
-(** Open a reserved flow to [dst_host] in [dst]: looks up SegR routes,
-    sets up the EER, and arms automatic renewal. *)
+(** Open a reserved flow to [dst_host] in [dst]: path choice over the
+    networked EER setup, then automatic renewal. *)
 let open_flow (t : t) ~(dst : Ids.asn) ~(dst_host : Ids.host) ~(bw : Bandwidth.t) :
     (flow, string) result =
-  match
-    Deployment.setup_eer_auto t.deployment ~src:t.asn ~src_host:t.host ~dst
-      ~dst_host ~bw
-  with
-  | Error e -> Error e
-  | Ok eer ->
-      let f =
-        {
-          stack = t;
-          eer;
-          requested_bw = bw;
-          open_ = true;
-          renewals = 0;
-          renewal_failures = 0;
-          sent = 0;
-          delivered = 0;
-        }
-      in
-      t.flows <- f :: t.flows;
-      arm_renewal f ~dst ~dst_host;
-      Ok f
+  let d = t.deployment in
+  Result.bind
+    (Deployment.setup_eer_auto_sync d ~src:t.asn ~src_host:t.host ~dst ~dst_host ~bw)
+    (fun (eer : Reservation.eer) ->
+      Deployment.auto_renew_eer d ~key:eer.key
+        ~route:{ path = eer.path; segr_keys = eer.segr_keys }
+        ~src_host:t.host ~dst_host ~bw
+      |> Result.map (fun managed ->
+             let f = { stack = t; managed; open_ = true; delivered = 0 } in
+             t.flows <- f :: t.flows;
+             f))
 
 (** Adjust the bandwidth the application wants; takes effect at the
     next renewal ("possibly adjust the bandwidth to shifting traffic
     demands", §4.2). *)
-let set_bandwidth (f : flow) (bw : Bandwidth.t) = f.requested_bw <- bw
+let set_bandwidth (f : flow) (bw : Bandwidth.t) = Deployment.set_demand f.managed bw
+
+(** The flow's current EER as its source holds it. *)
+let eer (f : flow) : Reservation.eer option =
+  let key = Deployment.managed_key f.managed in
+  Cserv.own_eer (Deployment.cserv f.stack.deployment key.src_as) key
 
 (** The bandwidth currently guaranteed to the flow — what a
     QUIC-style transport would pin its sending rate to (§3.2). *)
 let flow_bw (f : flow) : Bandwidth.t =
-  Reservation.eer_bw f.eer ~now:(Deployment.now f.stack.deployment)
+  match eer f with
+  | Some e -> Reservation.eer_bw e ~now:(Deployment.now f.stack.deployment)
+  | None -> Bandwidth.zero
 
 type send_result = Delivered | Dropped_in_network | Dropped_at_gateway
 
 (** Send one packet on the flow. *)
 let send (f : flow) ~(payload_len : int) : send_result =
   if not f.open_ then Dropped_at_gateway
-  else begin
-    f.sent <- f.sent + 1;
+  else
     match
       Deployment.send_data f.stack.deployment ~src:f.stack.asn
-        ~res_id:f.eer.key.res_id ~payload_len
+        ~res_id:(Deployment.managed_key f.managed).res_id ~payload_len
     with
     | Ok { delivered = true; _ } ->
         f.delivered <- f.delivered + 1;
         Delivered
     | Ok _ -> Dropped_in_network
     | Error _ -> Dropped_at_gateway
-  end
 
 (** Close the flow: stops renewing; the EER simply expires (there is
     no early-teardown mechanism for EERs, §4.2). *)
 let close (f : flow) =
   f.open_ <- false;
+  Deployment.stop_renewal f.managed;
   f.stack.flows <- List.filter (fun g -> g != f) f.stack.flows
 
-let renewals (f : flow) = f.renewals
-let renewal_failures (f : flow) = f.renewal_failures
+let renewals (f : flow) = Deployment.renewals f.managed
+let renewal_failures (f : flow) = Deployment.renewal_failures f.managed
 let delivered (f : flow) = f.delivered
-let sent (f : flow) = f.sent
-let is_open (f : flow) = f.open_
 let open_flows (t : t) = List.length t.flows

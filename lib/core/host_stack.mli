@@ -2,11 +2,14 @@
 
     Colibri modifies the end-host stack (the SCION daemon) so that an
     application can explicitly request and renew EERs. This module
-    models that stack for one host: it performs the SegR route lookup
-    (Appendix C), sets up the EER, and schedules automatic renewals
-    ahead of every expiry, so an application-level flow transparently
-    outlives the 16-second EER lifetime (§4.2). A failed renewal falls
-    back to an alternative route (path choice, §2.1).
+    models that stack for one host over {!Deployment}'s one renewal
+    machine: it looks up SegR routes (Appendix C), sets the EER up
+    over the first route that grants (path choice, §2.1) on the
+    networked control plane, and hands it to
+    {!Deployment.auto_renew_eer}, so an application-level flow
+    transparently outlives the 16-second EER lifetime (§4.2), retries
+    under loss, and moves to another route when the SegRs under it
+    lapse. The deployment needs {!Deployment.attach_network}.
 
     Any transport can run on top: the gateway drops packets exceeding
     the guaranteed bandwidth, which acts as the congestion signal; a
@@ -22,19 +25,21 @@ type t
 type flow
 (** An application flow backed by an auto-renewing EER. *)
 
-val create : ?renew_margin:Timebase.t -> Deployment.t -> asn:Ids.asn -> host:Ids.host -> t
-(** [renew_margin] (default 5 s) is how long before expiry a renewal
-    is attempted; must lie strictly between 1 s and the EER
-    lifetime. *)
+val create : Deployment.t -> asn:Ids.asn -> host:Ids.host -> t
 
 val open_flow :
   t -> dst:Ids.asn -> dst_host:Ids.host -> bw:Bandwidth.t -> (flow, string) result
-(** Look up SegR routes, set up the EER, and arm automatic renewal. *)
+(** Path choice over {!Deployment.setup_eer_auto_sync}, then
+    {!Deployment.auto_renew_eer}. *)
 
 val set_bandwidth : flow -> Bandwidth.t -> unit
 (** Adjust the demanded bandwidth; takes effect at the next renewal
     ("possibly adjust the bandwidth to shifting traffic demands",
     §4.2). *)
+
+val eer : flow -> Reservation.eer option
+(** The flow's current EER as its source holds it; its key changes
+    when a lapse forces a fresh setup. *)
 
 val flow_bw : flow -> Bandwidth.t
 (** The bandwidth currently guaranteed to the flow. *)
@@ -49,7 +54,7 @@ val close : flow -> unit
 
 val renewals : flow -> int
 val renewal_failures : flow -> int
+(** The flow's successful and failed renewals and recoveries. *)
+
 val delivered : flow -> int
-val sent : flow -> int
-val is_open : flow -> bool
 val open_flows : t -> int

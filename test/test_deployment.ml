@@ -1,8 +1,9 @@
 (** Integration tests over the full deployment: route lookup, EER
     setup over one/two/three SegRs, seamless EER renewal, SegR version
     switch under live EERs, path choice on failure, stale-cache
-    invalidation (Appendix C), and the isolation of the instantaneous
-    setups from an attached network. *)
+    invalidation (Appendix C), the isolation of the instantaneous
+    setups from an attached network, and a managed EER that outlives
+    the SegR under it. *)
 
 open Colibri_types
 open Colibri_topology
@@ -14,8 +15,8 @@ let mbps = Bandwidth.of_mbps
 
 (* Deployment with the standard set of SegRs established:
    up S→Y1, core Y1→W1, down W1→D, plus up T→Y2 (alternate). *)
-let rig () =
-  let d = Deployment.create (Topology_gen.two_isd ()) in
+let rig ?policy_for () =
+  let d = Deployment.create ?policy_for (Topology_gen.two_isd ()) in
   let db = Deployment.seg_db d in
   let setup_seg kind path max_bw =
     Result.get_ok
@@ -203,28 +204,7 @@ let destination_policy_refuses () =
       { Cserv.default_policy with accept_incoming = (fun _ _ -> false) }
     else Cserv.default_policy
   in
-  let d = Deployment.create ~policy_for (Topology_gen.two_isd ()) in
-  let db = Deployment.seg_db d in
-  let up = List.hd (Segments.Db.up_segments db ~src:G.s) in
-  let _ =
-    Result.get_ok
-      (Deployment.setup_segr d ~path:up.Segments.path ~kind:Reservation.Up
-         ~max_bw:(gbps 1.) ~min_bw:(mbps 1.))
-  in
-  let down = List.hd (Segments.Db.down_segments db ~dst:G.d) in
-  let _ =
-    Result.get_ok
-      (Deployment.request_down_segr d ~path:down.Segments.path ~max_bw:(gbps 1.)
-         ~min_bw:(mbps 1.))
-  in
-  let core_src = Path.destination up.Segments.path in
-  let core_dst = Path.source down.Segments.path in
-  let core = List.hd (Segments.Db.core_segments db ~src:core_src ~dst:core_dst) in
-  let _ =
-    Result.get_ok
-      (Deployment.setup_segr d ~path:core.Segments.path ~kind:Reservation.Core
-         ~max_bw:(gbps 1.) ~min_bw:(mbps 1.))
-  in
+  let d, _, _, _ = rig ~policy_for () in
   match
     Deployment.setup_eer_auto d ~src:G.s ~src_host:(Ids.host 1) ~dst:G.d
       ~dst_host:(Ids.host 2) ~bw:(mbps 10.)
@@ -241,14 +221,7 @@ let source_policy_caps_host_bw () =
       { Cserv.default_policy with max_eer_bw = mbps 50. }
     else Cserv.default_policy
   in
-  let d = Deployment.create ~policy_for (Topology_gen.two_isd ()) in
-  let db = Deployment.seg_db d in
-  let up = List.hd (Segments.Db.up_segments db ~src:G.s) in
-  let _ =
-    Result.get_ok
-      (Deployment.setup_segr d ~path:up.Segments.path ~kind:Reservation.Up
-         ~max_bw:(gbps 1.) ~min_bw:(mbps 1.))
-  in
+  let d, _, _, _ = rig ~policy_for () in
   let route = List.hd (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.y1) in
   (match
      Deployment.setup_eer d ~route ~src_host:(Ids.host 1) ~dst_host:(Ids.host 2)
@@ -268,14 +241,7 @@ let renewal_renegotiates_bandwidth () =
      bandwidth". We shrink the underlying SegR via renewal+activation;
      the EER's next renewal is then granted only what still fits,
      instead of being denied outright. *)
-  let d = Deployment.create (Topology_gen.two_isd ()) in
-  let db = Deployment.seg_db d in
-  let up = List.hd (Segments.Db.up_segments db ~src:G.s) in
-  let segr =
-    Result.get_ok
-      (Deployment.setup_segr d ~path:up.Segments.path ~kind:Reservation.Up
-         ~max_bw:(gbps 1.) ~min_bw:(mbps 1.))
-  in
+  let d, segr, _, _ = rig () in
   let route = List.hd (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.y1) in
   let eer =
     Result.get_ok
@@ -367,6 +333,40 @@ let instantaneous_setups_ignore_the_network () =
   | Error _ -> ());
   Alcotest.(check (list string)) "no leaked admission state" [] (Deployment.audit_all d)
 
+(* A managed EER outlives the SegR under it. Its core SegR A is
+   replaced by a fresh SegR B on the same path and left to lapse; the
+   EER's recovery finds its route dead, looks the routes up again and
+   moves onto B (path choice, §2.1) instead of giving up. *)
+let managed_eer_moves_to_live_segr () =
+  let d = Deployment.create (Topology_gen.linear ~n:4 ~capacity:(gbps 10.)) in
+  Deployment.attach_network d;
+  let path = Topology_gen.linear_path ~n:4 in
+  let managed_segr () =
+    let s =
+      Result.get_ok
+        (Deployment.setup_segr_sync d ~path ~kind:Reservation.Core ~max_bw:(gbps 1.)
+           ~min_bw:(mbps 1.))
+    in
+    Result.get_ok
+      (Deployment.auto_renew_segr d ~key:s.key ~max_bw:(gbps 1.) ~min_bw:(mbps 1.))
+  in
+  let a = managed_segr () in
+  let route : Deployment.eer_route = { path; segr_keys = [ Deployment.managed_key a ] } in
+  let src_host = Ids.host 1 and dst_host = Ids.host 2 and bw = mbps 10. in
+  let eer = Result.get_ok (Deployment.setup_eer_sync d ~route ~src_host ~dst_host ~bw) in
+  let m =
+    Result.get_ok (Deployment.auto_renew_eer d ~key:eer.key ~route ~src_host ~dst_host ~bw)
+  in
+  let b = managed_segr () in
+  Deployment.stop_renewal a;
+  Deployment.advance d 400.;
+  let key = Deployment.managed_key m in
+  let e = Option.get (Cserv.own_eer (Deployment.cserv d key.src_as) key) in
+  Alcotest.(check bool) "managed EER still valid" false
+    (Reservation.eer_expired e ~now:(Deployment.now d));
+  Alcotest.(check bool) "its new key rides on SegR B" true
+    (List.equal Ids.equal_res_key [ Deployment.managed_key b ] e.segr_keys)
+
 let suite =
   [
     Alcotest.test_case "instantaneous setups ignore the network" `Quick
@@ -381,4 +381,6 @@ let suite =
     Alcotest.test_case "stale cached SegR invalidated (App. C)" `Quick stale_cached_segr_invalidated;
     Alcotest.test_case "destination policy refuses" `Quick destination_policy_refuses;
     Alcotest.test_case "source policy caps host bandwidth" `Quick source_policy_caps_host_bw;
+    Alcotest.test_case "managed EER moves to a live SegR (§2.1)" `Quick
+      managed_eer_moves_to_live_segr;
   ]
