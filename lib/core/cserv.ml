@@ -1,7 +1,7 @@
 (** The Colibri service (CServ, §3.2): one per AS, handling all
     control-plane tasks — admission of SegRs and EERs, renewal and
     activation, bookkeeping of reservations traversing the AS, the
-    registry and caching of shareable SegRs (Appendix C), and the
+    registry of shareable SegRs (Appendix C), and the
     DRKey-based authentication of every control-plane message (§4.5).
 
     The CServ is deliberately transport-agnostic: forward/backward
@@ -42,16 +42,6 @@ type transit_segr = {
   egress : Ids.iface;
 }
 
-(** Public description of a registered SegR, as returned by registry
-    lookups (Appendix C). *)
-type segr_descr = {
-  key : Ids.res_key;
-  kind : Reservation.seg_kind;
-  path : Path.t;
-  bw : Bandwidth.t;
-  exp_time : Timebase.t;
-}
-
 (* Admission-outcome accounting (DESIGN.md §7): grants and denials per
    reservation class, plus a per-source-AS denial family over the keyed
    Ids tables. Every family carries a [backend] label so snapshots
@@ -76,8 +66,10 @@ type t = {
   transit_segrs : transit_segr Ids.Res_key_tbl.t;
   own_segrs : Reservation.segr Ids.Res_key_tbl.t;
   own_eers : Reservation.eer Ids.Res_key_tbl.t;
-  registry : segr_descr list Ids.Asn_tbl.t; (* local + cached remote, by segr dst *)
-  registry_whitelist : Ids.Asn_set.t option Ids.Res_key_tbl.t;
+  shared : Ids.res_key list Ids.Asn_tbl.t;
+      (* keys of shared SegRs by destination, most recent first: the
+         ones registered here, and at a leaf the down-SegRs ending at
+         it (Appendix C) *)
   mutable next_res_id : int;
   renewal_last : Timebase.t Ids.Res_key_tbl.t; (* renewal rate limiting *)
   renewal_min_interval : Timebase.t;
@@ -128,8 +120,7 @@ let create ?(policy = default_policy) ?(renewal_min_interval = 1.0) ?rng
     transit_segrs = Ids.Res_key_tbl.create 1024;
     own_segrs = Ids.Res_key_tbl.create 64;
     own_eers = Ids.Res_key_tbl.create 256;
-    registry = Ids.Asn_tbl.create 64;
-    registry_whitelist = Ids.Res_key_tbl.create 64;
+    shared = Ids.Asn_tbl.create 64;
     next_res_id = 1;
     renewal_last = Ids.Res_key_tbl.create 256;
     renewal_min_interval;
@@ -419,6 +410,18 @@ let handle_seg_activation (t : t) ~(key : Ids.res_key) : (unit, string) result =
 
 (* ---------------- Registry & dissemination (Appendix C) ------------- *)
 
+(** Record [keys] of shared SegRs ending at [dst]: each moves to the
+    front of the list, the last one first. *)
+let record_shared_segrs (t : t) ~(dst : Ids.asn) (keys : Ids.res_key list) =
+  let known = Option.value ~default:[] (Ids.Asn_tbl.find_opt t.shared dst) in
+  Ids.Asn_tbl.replace t.shared dst
+    (List.fold_left
+       (fun acc k -> k :: List.filter (fun x -> not (Ids.equal_res_key x k)) acc)
+       known keys)
+
+let shared_segrs (t : t) ~(dst : Ids.asn) : Ids.res_key list =
+  Option.value ~default:[] (Ids.Asn_tbl.find_opt t.shared dst)
+
 (** Register a SegR (by its initiator) for use by other ASes, with an
     optional whitelist. *)
 let register_segr (t : t) ~(key : Ids.res_key) ~(allowed : Ids.Asn_set.t option) :
@@ -427,58 +430,34 @@ let register_segr (t : t) ~(key : Ids.res_key) ~(allowed : Ids.Asn_set.t option)
   | None -> Error "unknown SegR"
   | Some s ->
       s.allowed_ases <- allowed;
-      Ids.Res_key_tbl.replace t.registry_whitelist key allowed;
-      let dst = Path.destination s.path in
-      let now = t.clock () in
-      (match s.active with
-      | Some v when Reservation.version_valid v ~now ->
-          let descr =
-            { key; kind = s.kind; path = s.path; bw = v.bw; exp_time = v.exp_time }
-          in
-          let existing = Option.value ~default:[] (Ids.Asn_tbl.find_opt t.registry dst) in
-          let existing = List.filter (fun d -> not (Ids.equal_res_key d.key key)) existing in
-          Ids.Asn_tbl.replace t.registry dst (descr :: existing)
-      | _ -> ());
+      record_shared_segrs t ~dst:(Path.destination s.path) [ key ];
       Ok ()
 
-(** Answer a registry query from [requester]: registered SegRs ending
-    at [dst] that the requester is whitelisted for. *)
-let registry_query (t : t) ~(requester : Ids.asn) ~(dst : Ids.asn) : segr_descr list =
-  let now = t.clock () in
-  Option.value ~default:[] (Ids.Asn_tbl.find_opt t.registry dst)
-  |> List.filter (fun d ->
-         now < d.exp_time
-         &&
-         match Ids.Res_key_tbl.find_opt t.registry_whitelist d.key with
-         | Some (Some allowed) -> Ids.Asn_set.mem requester allowed
-         | Some None | None -> true)
+(* The one liveness rule of route lookup and recovery: the active
+   version is valid, and [requester] is the initiator or admitted by
+   the whitelist. *)
+let usable (t : t) ~(requester : Ids.asn) (s : Reservation.segr) : bool =
+  (match s.active with
+  | Some v -> Reservation.version_valid v ~now:(t.clock ())
+  | None -> false)
+  &&
+  match s.allowed_ases with
+  | Some allowed when not (Ids.equal_asn requester t.asn) ->
+      Ids.Asn_set.mem requester allowed
+  | _ -> true
 
-(** Cache remote SegR descriptions fetched through the deployment
-    (hierarchical caching, Appendix C). *)
-let cache_remote_segrs (t : t) (descrs : segr_descr list) =
-  List.iter
-    (fun d ->
-      let dst = Path.destination d.path in
-      let existing = Option.value ~default:[] (Ids.Asn_tbl.find_opt t.registry dst) in
-      let existing = List.filter (fun x -> not (Ids.equal_res_key x.key d.key)) existing in
-      Ids.Asn_tbl.replace t.registry dst (d :: existing))
-    descrs
+let live_segr (t : t) ~(requester : Ids.asn) (key : Ids.res_key) :
+    Reservation.segr option =
+  match Ids.Res_key_tbl.find_opt t.own_segrs key with
+  | Some s when usable t ~requester s -> Some s
+  | _ -> None
 
-let cached_segrs (t : t) ~(dst : Ids.asn) : segr_descr list =
-  let now = t.clock () in
-  Option.value ~default:[] (Ids.Asn_tbl.find_opt t.registry dst)
-  |> List.filter (fun d -> now < d.exp_time)
-
-(** Drop a cached remote SegR that turned out stale (the remote CServ
-    indicated expiry during an EER setup, Appendix C). *)
-let invalidate_cached_segr (t : t) ~(key : Ids.res_key) =
-  Ids.Asn_tbl.iter
-    (fun dst descrs ->
-      let filtered = List.filter (fun d -> not (Ids.equal_res_key d.key key)) descrs in
-      if List.length filtered <> List.length descrs then
-        Ids.Asn_tbl.replace t.registry dst filtered)
-    (* iterate over a copy of keys to allow replace during iteration *)
-    (Ids.Asn_tbl.copy t.registry)
+let live_segrs (t : t) ~(requester : Ids.asn) ~(kind : Reservation.seg_kind) :
+    Reservation.segr list =
+  Ids.Res_key_tbl.fold
+    (fun _ (s : Reservation.segr) acc ->
+      if s.kind = kind && usable t ~requester s then s :: acc else acc)
+    t.own_segrs []
 
 (* ---------------- End-to-end reservations ---------------- *)
 
@@ -590,7 +569,7 @@ let handle_eer_request_forward (t : t) ~(req : Protocol.eer_request)
                    | [] -> { src_as = src; res_id = 0 }))
             else begin
               (* A SegR that expired under the requester: signal it so
-                 the source can refresh its cache (Appendix C). *)
+                 the source looks its routes up again (Appendix C). *)
               match
                 List.find_opt
                   (fun (_, ts) ->
@@ -743,21 +722,6 @@ let report_misbehavior (t : t) ~(src : Ids.asn) =
   t.denied_sources <- Ids.Asn_set.add src t.denied_sources
 
 let is_denied (t : t) ~(src : Ids.asn) = Ids.Asn_set.mem src t.denied_sources
-
-(** Descriptions of this AS's own SegRs of a given kind with a valid
-    active version — the starting material for route lookups. *)
-let own_segr_descrs (t : t) ~(kind : Reservation.seg_kind) ~(now : Timebase.t) :
-    segr_descr list =
-  Ids.Res_key_tbl.fold
-    (fun key (s : Reservation.segr) acc ->
-      if s.kind <> kind then acc
-      else
-        match s.active with
-        | Some v when Reservation.version_valid v ~now ->
-            { key; kind = s.kind; path = s.path; bw = v.bw; exp_time = v.exp_time }
-            :: acc
-        | _ -> acc)
-    t.own_segrs []
 
 (* ---------------- Introspection ---------------- *)
 

@@ -1,7 +1,7 @@
 (** The Colibri service (CServ, §3.2): one per AS, handling all
     control-plane tasks — admission of SegRs and EERs, renewal and
     activation, bookkeeping of reservations traversing the AS, the
-    registry and caching of shareable SegRs (Appendix C), and the
+    registry of shareable SegRs (Appendix C), and the
     DRKey-based authentication of every control-plane message (§4.5).
 
     The CServ is transport-agnostic: forward/backward handlers process
@@ -34,16 +34,6 @@ type transit_segr = {
   segr : Reservation.segr;
   ingress : Ids.iface;
   egress : Ids.iface;
-}
-
-(** Public description of a registered SegR, as returned by registry
-    lookups (Appendix C). *)
-type segr_descr = {
-  key : Ids.res_key;
-  kind : Reservation.seg_kind;
-  path : Path.t;
-  bw : Bandwidth.t;
-  exp_time : Timebase.t;
 }
 
 val create :
@@ -124,22 +114,39 @@ val handle_seg_activation : t -> key:Ids.res_key -> (unit, string) result
 (** Activate a pending SegR version at one on-path AS; the superseded
     version's admission share is released. *)
 
-(** {1 Registry & dissemination (Appendix C)} *)
+(** {1 Registry & dissemination (Appendix C)}
+
+    Only keys are shared. An initiator records which of its SegRs it
+    registered, and a leaf keeps the keys of the down-SegRs that end at
+    it. A key is resolved at its initiator ([key.src_as]) through
+    {!live_segr} on every read, so a lookup always sees the SegR's
+    current version and whitelist. *)
 
 val register_segr :
   t -> key:Ids.res_key -> allowed:Ids.Asn_set.t option -> (unit, string) result
 (** Register one of this AS's SegRs for use by other ASes, with an
-    optional whitelist. *)
+    optional whitelist ([None]: any AS). *)
 
-val registry_query : t -> requester:Ids.asn -> dst:Ids.asn -> segr_descr list
-(** Registered SegRs ending at [dst] that [requester] may use. *)
+val shared_segrs : t -> dst:Ids.asn -> Ids.res_key list
+(** Keys of shared SegRs ending at [dst], most recently recorded
+    first, live or not. *)
 
-val cache_remote_segrs : t -> segr_descr list -> unit
-(** Cache remote SegR descriptions (hierarchical caching). *)
+val record_shared_segrs : t -> dst:Ids.asn -> Ids.res_key list -> unit
+(** Record keys of shared SegRs ending at [dst]; each moves to the
+    front of {!shared_segrs}, the last one first. {!register_segr}
+    records its key here; a leaf records the down-SegRs registered for
+    it. *)
 
-val cached_segrs : t -> dst:Ids.asn -> segr_descr list
-val invalidate_cached_segr : t -> key:Ids.res_key -> unit
-(** Drop a cached SegR that turned out stale. *)
+val live_segr : t -> requester:Ids.asn -> Ids.res_key -> Reservation.segr option
+(** One of this AS's SegRs, if [requester] may build an EER over it
+    now: its active version is valid, and [requester] is this AS or
+    admitted by its [allowed_ases]. The one liveness rule of route
+    lookup and recovery. *)
+
+val live_segrs :
+  t -> requester:Ids.asn -> kind:Reservation.seg_kind -> Reservation.segr list
+(** This AS's SegRs of one kind that pass {!live_segr} for
+    [requester]. *)
 
 (** {1 End-to-end reservations} *)
 
@@ -194,7 +201,6 @@ val is_denied : t -> src:Ids.asn -> bool
 
 (** {1 Introspection} *)
 
-val own_segr_descrs : t -> kind:Reservation.seg_kind -> now:Timebase.t -> segr_descr list
 val transit_segr : t -> Ids.res_key -> transit_segr option
 val own_segr : t -> Ids.res_key -> Reservation.segr option
 val own_eer : t -> Ids.res_key -> Reservation.eer option

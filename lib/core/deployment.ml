@@ -269,13 +269,7 @@ let eer_request ?renew (t : t) ~(route : eer_route) ~(src_host : Ids.host)
            failure_at = (fun asn -> Cserv.handle_eer_failure (cserv t asn) ~req);
            conclude =
              (function
-             | Error e ->
-                 (* A stale cached SegR is invalidated so a retry
-                    refetches (Appendix C). *)
-                 (match e.reason with
-                 | Protocol.Expired_segr k -> Cserv.invalidate_cached_segr c ~key:k
-                 | _ -> ());
-                 Error (Fmt.str "%a" pp_setup_error e)
+             | Error e -> Error (Fmt.str "%a" pp_setup_error e)
              | Ok (hops, final_bw) ->
                  Result.bind
                    (Cserv.process_eer_reply c ~req
@@ -313,64 +307,53 @@ let activate_segr (t : t) ~(key : Ids.res_key) : (unit, string) result =
 
 (** Ask [core] (the first AS of a down segment ending at [leaf]) to set
     up a down-SegR — down-SegRs are only created upon explicit request
-    by the last AS (§3.3). The resulting SegR is registered at the
-    core's CServ with [allowed] and cached at the leaf. *)
-let request_down_segr ?(allowed = None) (t : t) ~(path : Path.t)
-    ~(max_bw : Bandwidth.t) ~(min_bw : Bandwidth.t) :
-    (Reservation.segr, string) result =
+    by the last AS (§3.3). The core registers the SegR, and the leaf
+    records the keys the core registered for it. *)
+let request_down_segr (t : t) ~(path : Path.t) ~(max_bw : Bandwidth.t)
+    ~(min_bw : Bandwidth.t) : (Reservation.segr, string) result =
   match setup_segr t ~path ~kind:Reservation.Down ~max_bw ~min_bw with
   | Error e -> Error e
   | Ok segr -> (
       let core = Path.source path and leaf = Path.destination path in
-      match Cserv.register_segr (cserv t core) ~key:segr.key ~allowed with
+      match Cserv.register_segr (cserv t core) ~key:segr.key ~allowed:None with
       | Error e -> Error e
       | Ok () ->
-          (* The leaf caches the description for later lookups. *)
-          let descrs = Cserv.registry_query (cserv t core) ~requester:leaf ~dst:leaf in
-          Cserv.cache_remote_segrs (cserv t leaf) descrs;
+          Cserv.record_shared_segrs (cserv t leaf) ~dst:leaf
+            (Cserv.shared_segrs (cserv t core) ~dst:leaf);
           Ok segr)
 
 (* ---------------- SegR lookup for EER construction ---------------- *)
 
+(* Resolve a SegR key at its initiator for [src] (Appendix C's refetch,
+   free in this simulation). *)
+let live_segr (t : t) ~(src : Ids.asn) (key : Ids.res_key) =
+  Cserv.live_segr (cserv t key.src_as) ~requester:src key
+
 (** Find SegR chains from [src] to [dst] following the hierarchical
-    lookup of Appendix C: own up-SegRs locally; down-SegRs from the
-    destination AS's CServ cache; core-SegRs from the CServ of the core
-    AS where the up segment ends. Results are cached at [src]'s CServ.
-    Shortest spliced path first. *)
+    lookup of Appendix C: own up-SegRs locally; down-SegRs by the keys
+    the destination AS keeps; core-SegRs from the CServ of the core AS
+    where the up segment ends. Every SegR is read live at its
+    initiator; nothing is written. Shortest spliced path first. *)
 let lookup_eer_routes (t : t) ~(src : Ids.asn) ~(dst : Ids.asn) : eer_route list =
-  let now_ = now t in
-  let src_cs = cserv t src in
-  let ups = Cserv.own_segr_descrs src_cs ~kind:Reservation.Up ~now:now_ in
-  let cores_from (core_src : Ids.asn) (core_dst : Ids.asn) : Cserv.segr_descr list =
+  let ups = Cserv.live_segrs (cserv t src) ~requester:src ~kind:Reservation.Up in
+  let cores_from (core_src : Ids.asn) (core_dst : Ids.asn) : Reservation.segr list =
     if Ids.equal_asn core_src core_dst then []
-    else begin
-      let descrs =
-        Cserv.own_segr_descrs (cserv t core_src) ~kind:Reservation.Core ~now:now_
-        |> List.filter (fun (d : Cserv.segr_descr) ->
-               Ids.equal_asn (Path.destination d.path) core_dst)
-      in
-      Cserv.cache_remote_segrs src_cs descrs;
-      descrs
-    end
+    else
+      Cserv.live_segrs (cserv t core_src) ~requester:src ~kind:Reservation.Core
+      |> List.filter (fun (s : Reservation.segr) ->
+             Ids.equal_asn (Path.destination s.path) core_dst)
   in
-  let downs =
-    (* ask the destination AS's CServ (which cached them at creation) *)
-    let remote = Cserv.cached_segrs (cserv t dst) ~dst in
-    Cserv.cache_remote_segrs src_cs remote;
-    List.filter (fun (d : Cserv.segr_descr) -> d.kind = Reservation.Down) remote
-  in
+  let downs = List.filter_map (live_segr t ~src) (Cserv.shared_segrs (cserv t dst) ~dst) in
   let routes = ref [] in
   let add segs =
     match segs with
     | [] -> ()
-    | first :: rest ->
+    | (first : Reservation.segr) :: rest ->
         let path =
-          List.fold_left
-            (fun acc (d : Cserv.segr_descr) -> Path.join acc d.path)
-            (first : Cserv.segr_descr).path rest
+          List.fold_left (fun acc (s : Reservation.segr) -> Path.join acc s.path) first.path rest
         in
         routes :=
-          { path; segr_keys = List.map (fun (d : Cserv.segr_descr) -> d.key) segs }
+          { path; segr_keys = List.map (fun (s : Reservation.segr) -> s.key) segs }
           :: !routes
   in
   let src_is_core = Topology.is_core t.topo src in
@@ -383,24 +366,24 @@ let lookup_eer_routes (t : t) ~(src : Ids.asn) ~(dst : Ids.asn) : eer_route list
     (* src core → leaf: direct down, or core + down *)
     if src_is_core then
       downs
-      |> List.iter (fun (d : Cserv.segr_descr) ->
+      |> List.iter (fun (d : Reservation.segr) ->
              let head = Path.source d.path in
              if Ids.equal_asn head src then add [ d ]
              else cores_from src head |> List.iter (fun c -> add [ c; d ]));
     (* leaf → dst core: up, or up + core *)
     if dst_is_core then
       ups
-      |> List.iter (fun (u : Cserv.segr_descr) ->
+      |> List.iter (fun (u : Reservation.segr) ->
              let top = Path.destination u.path in
              if Ids.equal_asn top dst then add [ u ]
              else cores_from top dst |> List.iter (fun c -> add [ u; c ]));
     (* leaf → leaf *)
     if not (src_is_core || dst_is_core) then
       ups
-      |> List.iter (fun (u : Cserv.segr_descr) ->
+      |> List.iter (fun (u : Reservation.segr) ->
              let top = Path.destination u.path in
              downs
-             |> List.iter (fun (d : Cserv.segr_descr) ->
+             |> List.iter (fun (d : Reservation.segr) ->
                     let head = Path.source d.path in
                     if Ids.equal_asn top head then add [ u; d ]
                     else cores_from top head |> List.iter (fun c -> add [ u; c; d ])));
@@ -680,8 +663,9 @@ let setup_eer_auto_sync (t : t) ~(src : Ids.asn) ~(src_host : Ids.host)
 (* The renewal state machine (§4.2 + §5.3, documented in the .mli):
    renew over itself, retry while valid, degrade to a fresh setup under
    a new res_id once lapsed — over a freshly chosen route if an EER's
-   route died — and give up after [max_recovery_failures] consecutive
-   failures. Outcomes are counted in the registry and per handle. *)
+   route died — and give up after more than [max_recovery_failures]
+   consecutive failed recoveries. Failed renewals do not count towards
+   that budget. Outcomes are counted in the registry and per handle. *)
 
 type origin =
   | Segr of { kind : Reservation.seg_kind; path : Path.t; min_bw : Bandwidth.t }
@@ -692,7 +676,8 @@ type managed = {
   origin : origin;
   mutable demand : Bandwidth.t; (* an EER's bw, a SegR's max_bw *)
   mutable stopped : bool;
-  mutable failures : int; (* consecutive, reset on any success *)
+  mutable retries : int; (* consecutive failed renewals, reset on any success *)
+  mutable recoveries : int; (* consecutive failed recoveries, likewise *)
   mutable renewed : int; (* successful renewals and recoveries *)
   mutable failed : int; (* failed ones *)
 }
@@ -705,6 +690,11 @@ let renewal_failures (m : managed) = m.failed
 
 let max_recovery_failures = 5
 let recovery_backoff failures = Float.min 8. (0.5 *. (2. ** float_of_int failures))
+
+let succeeded (m : managed) =
+  m.retries <- 0;
+  m.recoveries <- 0;
+  m.renewed <- m.renewed + 1
 
 (* Current expiry of the managed reservation at its source, [None] when
    it is gone or never activated. *)
@@ -732,18 +722,6 @@ let renew_lead (m : managed) =
   | Segr _ -> (1. -. 0.7) *. Reservation.segr_lifetime
   | Eer _ -> (1. -. 0.5) *. Reservation.eer_lifetime
 
-(* Is every SegR of [route] live at its initiator: known there, with a
-   valid active version? (The source's cached descriptions keep the
-   expiry seen at lookup, so they would call a renewed SegR dead.) *)
-let route_live (t : t) (route : eer_route) : bool =
-  let now_ = now t in
-  List.for_all
-    (fun (k : Ids.res_key) ->
-      match Cserv.own_segr (cserv t k.src_as) k with
-      | Some s -> Bandwidth.is_positive (Reservation.segr_bw s ~now:now_)
-      | None -> false)
-    route.segr_keys
-
 (* A networked setup of the managed reservation — a renewal over
    [renew], or a fresh setup — reporting the resulting key. Renewals
    leave a SegR's new version pending (§4.2); activation is
@@ -762,12 +740,15 @@ let setup_managed ?renew ?protection (t : t) (m : managed)
                  else Result.map (fun () -> s.key) (activate_segr t ~key:s.key))))
   | Eer e ->
       let on_eer r = on_result (Result.map (fun (eer : Reservation.eer) -> eer.key) r) in
-      if Option.is_some renew || route_live t e.route then
+      let src = Path.source e.route.path in
+      if
+        Option.is_some renew
+        || List.for_all (fun k -> Option.is_some (live_segr t ~src k)) e.route.segr_keys
+      then
         setup_eer_net ?renew ?protection t ~route:e.route ~src_host:e.src_host
           ~dst_host:e.dst_host ~bw:m.demand ~on_result:on_eer
       else
-        choose_route t ~src:(Path.source e.route.path)
-          ~dst:(Path.destination e.route.path)
+        choose_route t ~src ~dst:(Path.destination e.route.path)
           ~attempt:(fun route k ->
             setup_eer_net ?protection t ~route ~src_host:e.src_host
               ~dst_host:e.dst_host ~bw:m.demand ~on_result:k)
@@ -793,22 +774,21 @@ let rec renew_cycle (t : t) (m : managed) : unit =
     else
       let on_result = function
         | Ok _ ->
-            m.failures <- 0;
-            m.renewed <- m.renewed + 1;
+            succeeded m;
             let late =
               match old_exp with Some e -> now t >= e | None -> true
             in
             Obs.Counter.incr (if late then n.m_renew_late else n.m_renew_ok);
             schedule_next t m
         | Error _ ->
-            m.failures <- m.failures + 1;
+            m.retries <- m.retries + 1;
             m.failed <- m.failed + 1;
             let still_valid =
               match managed_expiry t m with Some e -> now t < e | None -> false
             in
             if still_valid then
               (* Retry soon, capped, while the reservation lives. *)
-              Net.Engine.schedule t.engine ~delay:(recovery_backoff m.failures)
+              Net.Engine.schedule t.engine ~delay:(recovery_backoff m.retries)
                 (fun () -> renew_cycle t m)
             else degrade t m
       in
@@ -824,19 +804,18 @@ and degrade (t : t) (m : managed) : unit =
     let on_result = function
       | Ok (key : Ids.res_key) ->
           m.mkey <- key;
-          m.failures <- 0;
-          m.renewed <- m.renewed + 1;
+          succeeded m;
           Obs.Counter.incr n.m_renew_recovered;
           schedule_next t m
       | Error _ ->
-          m.failures <- m.failures + 1;
+          m.recoveries <- m.recoveries + 1;
           m.failed <- m.failed + 1;
-          if m.failures > max_recovery_failures then begin
+          if m.recoveries > max_recovery_failures then begin
             Obs.Counter.incr n.m_renew_gave_up;
             m.stopped <- true
           end
           else
-            Net.Engine.schedule t.engine ~delay:(recovery_backoff m.failures)
+            Net.Engine.schedule t.engine ~delay:(recovery_backoff m.recoveries)
               (fun () -> degrade t m)
     in
     setup_managed ~protection:Control_net.Prioritized_control t m on_result
@@ -858,7 +837,8 @@ and schedule_next (t : t) (m : managed) : unit =
 let manage (t : t) (key : Ids.res_key) (origin : origin) ~(demand : Bandwidth.t) :
     managed =
   let m =
-    { mkey = key; origin; demand; stopped = false; failures = 0; renewed = 0; failed = 0 }
+    { mkey = key; origin; demand; stopped = false; retries = 0; recoveries = 0;
+      renewed = 0; failed = 0 }
   in
   schedule_next t m;
   m

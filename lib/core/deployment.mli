@@ -86,16 +86,13 @@ val activate_segr : t -> key:Ids.res_key -> (unit, string) result
     the initiator (§4.2). *)
 
 val request_down_segr :
-  ?allowed:Ids.Asn_set.t option ->
-  t ->
-  path:Path.t ->
-  max_bw:Bandwidth.t ->
-  min_bw:Bandwidth.t ->
+  t -> path:Path.t -> max_bw:Bandwidth.t -> min_bw:Bandwidth.t ->
   (Reservation.segr, string) result
 (** Ask the first AS of a down segment to set up a down-SegR —
     down-SegRs are only created upon explicit request by the last AS
-    (§3.3). The SegR is registered at the initiator's CServ and its
-    description cached at the leaf. *)
+    (§3.3). The initiator registers the SegR without a whitelist
+    (restrict it with {!Cserv.register_segr}), and the leaf records the
+    keys the initiator registered for it. *)
 
 (** {1 Route lookup and end-to-end reservations} *)
 
@@ -105,9 +102,11 @@ type eer_route = { path : Path.t; segr_keys : Ids.res_key list }
 
 val lookup_eer_routes : t -> src:Ids.asn -> dst:Ids.asn -> eer_route list
 (** Hierarchical lookup of Appendix C: own up-SegRs locally,
-    down-SegRs from the destination's CServ cache, core-SegRs from the
-    core AS where the up segment ends; results cached at the source.
-    Shortest spliced path first. *)
+    down-SegRs by the keys the destination's CServ keeps, core-SegRs
+    from the core AS where the up segment ends. Every key is resolved
+    at its initiator through {!Cserv.live_segr} for [src], so renewed
+    SegRs stay found and whitelists are checked against [src]; no CServ
+    is written. Shortest spliced path first. *)
 
 val setup_eer :
   ?renew:Ids.res_key ->
@@ -234,12 +233,14 @@ val setup_eer_auto_sync :
     itself once 0.7 (SegR) or 0.5 (EER) of its lifetime has elapsed
     (§4.2); while it stays valid, failed renewals retry with capped
     backoff; once it lapses the machine degrades to a best-effort
-    fresh setup under a new key, and gives up after repeated failed
-    recoveries. An EER recovers over its stored route while every SegR
-    in it is live at its initiator, and otherwise by path choice over
-    a fresh {!lookup_eer_routes} (§2.1). Outcomes are counted in
-    {!network_metrics} as [renewal_{started,ok,late,degraded,
-    recovered,gave_up}_total]. Needs {!attach_network}. *)
+    fresh setup under a new key, retried with the same backoff, and
+    gives up after six consecutive failed recoveries (failed renewals
+    do not count). An EER recovers over its stored route while every
+    SegR in it passes {!Cserv.live_segr} for the EER's source, and
+    otherwise by path choice over a fresh {!lookup_eer_routes} (§2.1).
+    Outcomes are counted in {!network_metrics} as
+    [renewal_{started,ok,late,degraded,recovered,gave_up}_total].
+    Needs {!attach_network}. *)
 
 type managed
 

@@ -50,7 +50,7 @@ type segr = {
           in the setup response (source first). Empty elsewhere. *)
   mutable allowed_ases : Ids.Asn_set.t option;
       (** Whitelist of ASes allowed to build EERs over this SegR when
-          it is shared (Appendix C); [None] = initiator only. *)
+          it is shared (Appendix C); [None] = no restriction set. *)
 }
 
 (** Bandwidth available on a SegR right now: its active version (a

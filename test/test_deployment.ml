@@ -1,9 +1,10 @@
 (** Integration tests over the full deployment: route lookup, EER
     setup over one/two/three SegRs, seamless EER renewal, SegR version
-    switch under live EERs, path choice on failure, stale-cache
-    invalidation (Appendix C), the isolation of the instantaneous
-    setups from an attached network, and a managed EER that outlives
-    the SegR under it. *)
+    switch under live EERs, path choice on failure, lookups that follow
+    renewed SegRs and check whitelists against the source (Appendix C),
+    the isolation of the instantaneous setups from an attached network,
+    managed EERs that outlive the SegRs under them, and the recovery
+    budget of the renewal machine. *)
 
 open Colibri_types
 open Colibri_topology
@@ -12,6 +13,11 @@ module G = Topology_gen.Two_isd
 
 let gbps = Bandwidth.of_gbps
 let mbps = Bandwidth.of_mbps
+
+let net_counter d name =
+  match List.assoc_opt name (Obs.Registry.snapshot (Deployment.network_metrics d)) with
+  | Some (Obs.Counter v) -> v
+  | _ -> Alcotest.failf "no counter %s" name
 
 (* Deployment with the standard set of SegRs established:
    up S→Y1, core Y1→W1, down W1→D, plus up T→Y2 (alternate). *)
@@ -180,10 +186,10 @@ let path_choice_on_failure () =
       Alcotest.(check bool) "used a route" true (List.length eer.segr_keys >= 1)
   | Error e -> Alcotest.failf "no alternative used: %s" e
 
-let stale_cached_segr_invalidated () =
+let lookup_offers_no_expired_segr () =
   let d, _, _, down = rig () in
   (* Build a route, then let every SegR expire; the EER setup must fail
-     with an expiry signal and the stale entry must leave the cache. *)
+     and the lookup must offer nothing. *)
   let routes = Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d in
   let r = List.hd routes in
   Deployment.advance d (Reservation.segr_lifetime +. 1.);
@@ -197,6 +203,100 @@ let stale_cached_segr_invalidated () =
   (* Lookup now offers nothing (expired everywhere). *)
   Alcotest.(check (list int)) "no stale routes" []
     (List.map (fun _ -> 0) (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d))
+
+(* The rig's three SegRs, kept alive by the renewal machine over an
+   attached network. *)
+let managed_rig () =
+  let d, up, core, down = rig () in
+  Deployment.attach_network d;
+  List.iter
+    (fun ((s : Reservation.segr), max_bw) ->
+      ignore
+        (Result.get_ok
+           (Deployment.auto_renew_segr d ~key:s.key ~max_bw ~min_bw:(mbps 1.))))
+    [ (up, gbps 2.); (core, gbps 5.); (down, gbps 2.) ];
+  d
+
+(* Renewal keeps a SegR's key and replaces its version, so a lookup
+   past the first versions' expiry (300 s) must still find them. *)
+let lookup_follows_renewed_segrs () =
+  let d = managed_rig () in
+  Deployment.advance d 400.;
+  Alcotest.(check bool) "route S→D at 400 s" true
+    (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d <> [])
+
+(* Managed EERs over three managed SegRs keep delivering up to three
+   SegR lifetimes without giving up: one opened at 0 s, and one opened
+   by path choice at 400 s, past the SegRs' first versions. *)
+let managed_eers_over_managed_segrs () =
+  let d = managed_rig () in
+  let dst_host = Ids.host 2 and bw = mbps 10. in
+  let open_flow i =
+    let src_host = Ids.host i in
+    let eer =
+      Result.get_ok
+        (Deployment.setup_eer_auto_sync d ~src:G.s ~src_host ~dst:G.d ~dst_host ~bw)
+    in
+    Result.get_ok
+      (Deployment.auto_renew_eer d ~key:eer.key
+         ~route:{ path = eer.path; segr_keys = eer.segr_keys }
+         ~src_host ~dst_host ~bw)
+  in
+  let first = open_flow 1 in
+  Deployment.advance d 400.;
+  let second = open_flow 2 in
+  Deployment.advance d (900. -. Deployment.now d);
+  List.iter
+    (fun m ->
+      match
+        Deployment.send_data d ~src:G.s ~res_id:(Deployment.managed_key m).res_id
+          ~payload_len:500
+      with
+      | Ok { delivered = true; _ } -> ()
+      | Ok { dropped_at = Some (a, r); _ } ->
+          Alcotest.failf "dropped at %a: %a" Ids.pp_asn a Router.pp_drop_reason r
+      | Ok _ -> Alcotest.fail "not delivered"
+      | Error e -> Alcotest.failf "gateway: %a" Gateway.pp_drop_reason e)
+    [ first; second ];
+  Alcotest.(check int) "never gave up" 0 (net_counter d "renewal_gave_up_total")
+
+(* The whitelist of a shared down-SegR is checked against the source
+   of each lookup (Appendix C). *)
+let whitelist_checked_against_source () =
+  let d, _, _, down = rig () in
+  let core = Deployment.cserv d down.key.src_as in
+  let routes () = List.length (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d) in
+  (match
+     Cserv.register_segr core ~key:down.key ~allowed:(Some (Ids.Asn_set.singleton G.t))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "S not whitelisted" 0 (routes ());
+  (match Cserv.register_segr core ~key:down.key ~allowed:None with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "open again" 1 (routes ())
+
+(* Failed renewals do not eat the recovery budget: a managed EER whose
+   only SegR lapses degrades six times (five retries after the first
+   recovery) before it gives up. *)
+let recovery_budget_counts_recoveries_only () =
+  let d = Deployment.create (Topology_gen.linear ~n:4 ~capacity:(gbps 10.)) in
+  Deployment.attach_network d;
+  let path = Topology_gen.linear_path ~n:4 in
+  let segr =
+    Result.get_ok
+      (Deployment.setup_segr_sync d ~path ~kind:Reservation.Core ~max_bw:(gbps 1.)
+         ~min_bw:(mbps 1.))
+  in
+  let route : Deployment.eer_route = { path; segr_keys = [ segr.key ] } in
+  let src_host = Ids.host 1 and dst_host = Ids.host 2 and bw = mbps 10. in
+  let eer = Result.get_ok (Deployment.setup_eer_sync d ~route ~src_host ~dst_host ~bw) in
+  ignore
+    (Result.get_ok (Deployment.auto_renew_eer d ~key:eer.key ~route ~src_host ~dst_host ~bw));
+  Deployment.advance d 400.;
+  Alcotest.(check int) "degraded" 6 (net_counter d "renewal_degraded_total");
+  Alcotest.(check int) "gave up once" 1 (net_counter d "renewal_gave_up_total")
 
 let destination_policy_refuses () =
   let policy_for asn =
@@ -292,13 +392,7 @@ let instantaneous_setups_ignore_the_network () =
   Net.Fault.set_default faults (Net.Fault.plan ~loss:1.0 ());
   Net.Fault.crash_server faults ~asn:(Ids.asn ~isd:1 ~num:2) ~at:0. ~duration:1000.;
   Deployment.attach_network ~faults d;
-  let counter name =
-    match
-      List.assoc_opt name (Obs.Registry.snapshot (Deployment.network_metrics d))
-    with
-    | Some (Obs.Counter v) -> v
-    | _ -> Alcotest.failf "no counter %s" name
-  in
+  let counter = net_counter d in
   let quiet what =
     Alcotest.(check int) (what ^ ": no message sent") 0
       (counter "control_net_messages_sent_total");
@@ -378,9 +472,18 @@ let suite =
     Alcotest.test_case "SegR version switch under live EERs" `Quick segr_version_switch_under_live_eers;
     Alcotest.test_case "EER denied when SegR full" `Quick eer_denied_when_segr_full;
     Alcotest.test_case "path choice on failure (§2.1)" `Quick path_choice_on_failure;
-    Alcotest.test_case "stale cached SegR invalidated (App. C)" `Quick stale_cached_segr_invalidated;
+    Alcotest.test_case "lookup offers no expired SegR (App. C)" `Quick
+      lookup_offers_no_expired_segr;
     Alcotest.test_case "destination policy refuses" `Quick destination_policy_refuses;
     Alcotest.test_case "source policy caps host bandwidth" `Quick source_policy_caps_host_bw;
     Alcotest.test_case "managed EER moves to a live SegR (§2.1)" `Quick
       managed_eer_moves_to_live_segr;
+    Alcotest.test_case "lookup follows renewed SegRs (App. C)" `Quick
+      lookup_follows_renewed_segrs;
+    Alcotest.test_case "managed EERs over managed SegRs live 900 s" `Quick
+      managed_eers_over_managed_segrs;
+    Alcotest.test_case "SegR whitelist checked against the source (App. C)" `Quick
+      whitelist_checked_against_source;
+    Alcotest.test_case "recovery budget counts recoveries only" `Quick
+      recovery_budget_counts_recoveries_only;
   ]
