@@ -160,8 +160,10 @@ let run_phase (spec : phase_spec) : rates =
     end
   in
   let colibri_emitter gw (eer : Reservation.eer) tag () =
-    match Gateway.send gw ~res_id:eer.key.res_id ~payload_len with
-    | Ok (pkt, _) -> Some (Colibri { raw = Packet.to_bytes pkt; payload_len; tag })
+    match Gateway.send_bytes gw ~res_id:eer.key.res_id ~payload_len with
+    | Ok _ ->
+        let raw = Bytes.sub (Gateway.out gw) 0 (Gateway.out_len gw) in
+        Some (Colibri { raw; payload_len; tag })
     | Error _ -> None (* honest gateway drops overuse at the source *)
   in
   feed in1 spec.res1_rate

@@ -248,11 +248,10 @@ let attack_cmd =
     let forwarded = ref 0 and policed = ref 0 in
     for _ = 1 to n do
       Deployment.advance deployment (1. /. factor /. 200.);
-      match Gateway.send rogue ~res_id:eer.key.res_id ~payload_len:600 with
-      | Ok (pkt, _) -> (
-          match
-            Router.process_bytes transit ~raw:(Packet.to_bytes pkt) ~payload_len:600
-          with
+      match Gateway.send_bytes rogue ~res_id:eer.key.res_id ~payload_len:600 with
+      | Ok _ -> (
+          let raw = Bytes.sub (Gateway.out rogue) 0 (Gateway.out_len rogue) in
+          match Router.process_bytes transit ~raw ~payload_len:600 with
           | Ok _ -> incr forwarded
           | Error Router.Policed -> incr policed
           | Error _ -> ())

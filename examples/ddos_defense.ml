@@ -87,10 +87,10 @@ let () =
   (* --- Attack 2: bogus Colibri packets --- *)
   Fmt.pr "[2] Off-path adversary injects 10,000 forged Colibri packets.@.";
   let router = Deployment.router deployment G.x1 in
-  let victim_pkt, _ =
-    Result.get_ok
-      (Gateway.send (Deployment.gateway deployment G.s) ~res_id:victim.key.res_id
-         ~payload_len:0)
+  let gw = Deployment.gateway deployment G.s in
+  ignore (Result.get_ok (Gateway.send_bytes gw ~res_id:victim.key.res_id ~payload_len:0));
+  let victim_pkt =
+    Result.get_ok (Packet.of_bytes (Bytes.sub (Gateway.out gw) 0 (Gateway.out_len gw)))
   in
   let rejected = ref 0 in
   for i = 1 to 10_000 do
@@ -132,9 +132,10 @@ let () =
   let forwarded = ref 0 and policed = ref 0 in
   for _ = 1 to 4000 do
     Deployment.advance deployment 0.00025;
-    match Gateway.send rogue ~res_id:attacker.key.res_id ~payload_len:1200 with
-    | Ok (pkt, _) -> (
-        match Router.process_bytes transit ~raw:(Packet.to_bytes pkt) ~payload_len:1200 with
+    match Gateway.send_bytes rogue ~res_id:attacker.key.res_id ~payload_len:1200 with
+    | Ok _ -> (
+        let raw = Bytes.sub (Gateway.out rogue) 0 (Gateway.out_len rogue) in
+        match Router.process_bytes transit ~raw ~payload_len:1200 with
         | Ok _ -> incr forwarded
         | Error Router.Policed -> incr policed
         | Error _ -> ())
@@ -154,4 +155,8 @@ let () =
   | Ok _ -> Fmt.pr "    (transit AS had not yet confirmed abuse — no denial)@.");
   Fmt.pr "    Victim throughout the attack: %.0f%% delivered.@.@."
     (100. *. victim_success 50);
+  if !rejected < 10_000 || !policed = 0 then begin
+    Fmt.pr "FAILED: %d/10000 forgeries dropped, %d packets policed.@." !rejected !policed;
+    exit 1
+  end;
   Fmt.pr "All three §5.1 attack classes neutralized.@."

@@ -411,13 +411,16 @@ let handle_seg_activation (t : t) ~(key : Ids.res_key) : (unit, string) result =
 (* ---------------- Registry & dissemination (Appendix C) ------------- *)
 
 (** Record [keys] of shared SegRs ending at [dst]: each moves to the
-    front of the list, the last one first. *)
-let record_shared_segrs (t : t) ~(dst : Ids.asn) (keys : Ids.res_key list) =
+    front of the list, the last one first, and every key that is not
+    [live] is dropped. *)
+let record_shared_segrs (t : t) ~(dst : Ids.asn) ~(live : Ids.res_key -> bool)
+    (keys : Ids.res_key list) =
   let known = Option.value ~default:[] (Ids.Asn_tbl.find_opt t.shared dst) in
   Ids.Asn_tbl.replace t.shared dst
-    (List.fold_left
-       (fun acc k -> k :: List.filter (fun x -> not (Ids.equal_res_key x k)) acc)
-       known keys)
+    (List.filter live
+       (List.fold_left
+          (fun acc k -> k :: List.filter (fun x -> not (Ids.equal_res_key x k)) acc)
+          known keys))
 
 let shared_segrs (t : t) ~(dst : Ids.asn) : Ids.res_key list =
   Option.value ~default:[] (Ids.Asn_tbl.find_opt t.shared dst)
@@ -430,7 +433,11 @@ let register_segr (t : t) ~(key : Ids.res_key) ~(allowed : Ids.Asn_set.t option)
   | None -> Error "unknown SegR"
   | Some s ->
       s.allowed_ases <- allowed;
-      record_shared_segrs t ~dst:(Path.destination s.path) [ key ];
+      let now = t.clock () in
+      record_shared_segrs t ~dst:(Path.destination s.path) [ key ] ~live:(fun k ->
+          match Ids.Res_key_tbl.find_opt t.own_segrs k with
+          | Some o -> not (Reservation.segr_expired o ~now)
+          | None -> false);
       Ok ()
 
 (* The one liveness rule of route lookup and recovery: the active

@@ -129,13 +129,18 @@ val register_segr :
 
 val shared_segrs : t -> dst:Ids.asn -> Ids.res_key list
 (** Keys of shared SegRs ending at [dst], most recently recorded
-    first, live or not. *)
+    first. Expired keys are dropped only when the list is written, so a
+    read may still return some; lookups resolve each through
+    {!live_segr}. *)
 
-val record_shared_segrs : t -> dst:Ids.asn -> Ids.res_key list -> unit
+val record_shared_segrs :
+  t -> dst:Ids.asn -> live:(Ids.res_key -> bool) -> Ids.res_key list -> unit
 (** Record keys of shared SegRs ending at [dst]; each moves to the
-    front of {!shared_segrs}, the last one first. {!register_segr}
-    records its key here; a leaf records the down-SegRs registered for
-    it. *)
+    front of {!shared_segrs}, the last one first. Every recorded key
+    that is not [live] (at its initiator: no version, active or
+    pending, left unexpired) is dropped, so the list tracks the live
+    SegRs rather than their history. {!register_segr} records its key
+    here; a leaf records the down-SegRs registered for it. *)
 
 val live_segr : t -> requester:Ids.asn -> Ids.res_key -> Reservation.segr option
 (** One of this AS's SegRs, if [requester] may build an EER over it

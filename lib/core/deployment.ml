@@ -305,22 +305,34 @@ let activate_segr (t : t) ~(key : Ids.res_key) : (unit, string) result =
       | Some (Error e) -> Error e
       | _ -> Reservation.activate segr ~now:(now t))
 
+(* Whether [key] still has an unexpired version (active or pending) at
+   its initiator: the rule that prunes the shared key lists. *)
+let segr_unexpired (t : t) (key : Ids.res_key) : bool =
+  match Cserv.own_segr (cserv t key.src_as) key with
+  | Some s -> not (Reservation.segr_expired s ~now:(now t))
+  | None -> false
+
+(* Share [segr] from its initiator under the whitelist [allowed]; the
+   leaf of a down-SegR then records the keys its initiator shares for
+   it. *)
+let share_segr (t : t) (segr : Reservation.segr) ~(allowed : Ids.Asn_set.t option) :
+    (unit, string) result =
+  let initiator = Path.source segr.path and leaf = Path.destination segr.path in
+  Cserv.register_segr (cserv t initiator) ~key:segr.key ~allowed
+  |> Result.map (fun () ->
+         if segr.kind = Reservation.Down then
+           Cserv.record_shared_segrs (cserv t leaf) ~dst:leaf
+             ~live:(segr_unexpired t)
+             (Cserv.shared_segrs (cserv t initiator) ~dst:leaf))
+
 (** Ask [core] (the first AS of a down segment ending at [leaf]) to set
     up a down-SegR — down-SegRs are only created upon explicit request
     by the last AS (§3.3). The core registers the SegR, and the leaf
     records the keys the core registered for it. *)
 let request_down_segr (t : t) ~(path : Path.t) ~(max_bw : Bandwidth.t)
     ~(min_bw : Bandwidth.t) : (Reservation.segr, string) result =
-  match setup_segr t ~path ~kind:Reservation.Down ~max_bw ~min_bw with
-  | Error e -> Error e
-  | Ok segr -> (
-      let core = Path.source path and leaf = Path.destination path in
-      match Cserv.register_segr (cserv t core) ~key:segr.key ~allowed:None with
-      | Error e -> Error e
-      | Ok () ->
-          Cserv.record_shared_segrs (cserv t leaf) ~dst:leaf
-            (Cserv.shared_segrs (cserv t core) ~dst:leaf);
-          Ok segr)
+  Result.bind (setup_segr t ~path ~kind:Reservation.Down ~max_bw ~min_bw) (fun segr ->
+      share_segr t segr ~allowed:None |> Result.map (fun () -> segr))
 
 (* ---------------- SegR lookup for EER construction ---------------- *)
 
@@ -722,6 +734,18 @@ let renew_lead (m : managed) =
   | Segr _ -> (1. -. 0.7) *. Reservation.segr_lifetime
   | Eer _ -> (1. -. 0.5) *. Reservation.eer_lifetime
 
+(* A fresh SegR that replaces [old] is shared as [old] was: registered
+   at its initiator under the same whitelist and, for a down-SegR,
+   recorded at its leaf. *)
+let reshare (t : t) ~(old : Ids.res_key) (segr : Reservation.segr) : (unit, string) result =
+  let initiator = cserv t old.src_as in
+  match Cserv.own_segr initiator old with
+  | Some o
+    when List.exists (Ids.equal_res_key old)
+           (Cserv.shared_segrs initiator ~dst:(Path.destination o.path)) ->
+      share_segr t segr ~allowed:o.allowed_ases
+  | _ -> Ok ()
+
 (* A networked setup of the managed reservation — a renewal over
    [renew], or a fresh setup — reporting the resulting key. Renewals
    leave a SegR's new version pending (§4.2); activation is
@@ -736,8 +760,10 @@ let setup_managed ?renew ?protection (t : t) (m : managed)
         ~on_result:(fun r ->
           on_result
             (Result.bind r (fun (s : Reservation.segr) ->
-                 if Option.is_none renew then Ok s.key
-                 else Result.map (fun () -> s.key) (activate_segr t ~key:s.key))))
+                 Result.map
+                   (fun () -> s.key)
+                   (if Option.is_some renew then activate_segr t ~key:s.key
+                    else reshare t ~old:m.mkey s))))
   | Eer e ->
       let on_eer r = on_result (Result.map (fun (eer : Reservation.eer) -> eer.key) r) in
       let src = Path.source e.route.path in
@@ -873,28 +899,28 @@ type delivery = {
     (Fig. 1c). Returns where the packet ended up. *)
 let send_data (t : t) ~(src : Ids.asn) ~(res_id : Ids.res_id) ~(payload_len : int) :
     (delivery, Gateway.drop_reason) result =
-  match Gateway.send (gateway t src) ~res_id ~payload_len with
-  | Error e -> Error e
-  | Ok (packet, _egress) ->
-      let raw = Packet.to_bytes packet in
-      let rec walk hops = function
-        | [] -> Ok { delivered = true; dropped_at = None; hops_traversed = hops }
-        | (hop : Path.hop) :: rest -> (
-            match Router.process_bytes (router t hop.asn) ~raw ~payload_len with
-            | Ok (Router.Forward _) -> walk (hops + 1) rest
-            | Ok (Router.Deliver _) ->
-                Ok { delivered = true; dropped_at = None; hops_traversed = hops + 1 }
-            | Ok Router.To_cserv ->
-                Ok { delivered = true; dropped_at = None; hops_traversed = hops + 1 }
-            | Error reason ->
-                Ok
-                  {
-                    delivered = false;
-                    dropped_at = Some (hop.asn, reason);
-                    hops_traversed = hops;
-                  })
-      in
-      walk 0 packet.path
+  let gw = gateway t src in
+  Gateway.send_bytes gw ~res_id ~payload_len
+  |> Result.map (fun _egress ->
+         let raw = Bytes.sub (Gateway.out gw) 0 (Gateway.out_len gw) in
+         (* The routers on the path the packet carries; a header the
+            gateway emitted always parses. *)
+         let path = match Packet.of_bytes raw with Ok p -> p.path | Error _ -> [] in
+         let rec walk hops = function
+           | [] -> { delivered = true; dropped_at = None; hops_traversed = hops }
+           | (hop : Path.hop) :: rest -> (
+               match Router.process_bytes (router t hop.asn) ~raw ~payload_len with
+               | Ok (Router.Forward _) -> walk (hops + 1) rest
+               | Ok (Router.Deliver _ | Router.To_cserv) ->
+                   { delivered = true; dropped_at = None; hops_traversed = hops + 1 }
+               | Error reason ->
+                   {
+                     delivered = false;
+                     dropped_at = Some (hop.asn, reason);
+                     hops_traversed = hops;
+                   })
+         in
+         walk 0 path)
 
 (** Advance simulated time. *)
 let advance (t : t) (dt : float) = Net.Engine.run t.engine ~until:(now t +. dt)

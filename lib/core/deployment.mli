@@ -92,7 +92,8 @@ val request_down_segr :
     down-SegRs are only created upon explicit request by the last AS
     (§3.3). The initiator registers the SegR without a whitelist
     (restrict it with {!Cserv.register_segr}), and the leaf records the
-    keys the initiator registered for it. *)
+    keys the initiator registered for it, dropping those with no
+    unexpired version left. *)
 
 (** {1 Route lookup and end-to-end reservations} *)
 
@@ -238,7 +239,9 @@ val setup_eer_auto_sync :
     do not count). An EER recovers over its stored route while every
     SegR in it passes {!Cserv.live_segr} for the EER's source, and
     otherwise by path choice over a fresh {!lookup_eer_routes} (§2.1).
-    Outcomes are counted in {!network_metrics} as
+    A SegR that recovers under a new key is shared as its predecessor
+    was: registered at its initiator under the same whitelist and, for
+    a down-SegR, recorded at its leaf. Outcomes are counted in {!network_metrics} as
     [renewal_{started,ok,late,degraded,recovered,gave_up}_total].
     Needs {!attach_network}. *)
 

@@ -104,74 +104,53 @@ let create ?(burst = 0.1) ?(registry = Obs.Registry.create ())
 
 let metrics (t : t) = t.registry
 
+(* The σ count must match the path and the EER must originate here. *)
+let check (t : t) ~(eer : Reservation.eer) ~(n_sigmas : int) : (unit, string) result =
+  if not (Ids.equal_asn eer.key.src_as t.asn) then Error "EER does not originate here"
+  else if n_sigmas <> Path.length eer.path then Error "wrong number of sigmas"
+  else Ok ()
+
+(* The one install body of {!register} and {!register_prepared}: a new
+   version goes in front, lapsed ones are dropped, and the token-bucket
+   rate follows the maximum bandwidth over valid versions. *)
+let install (t : t) ~(eer : Reservation.eer) ~(version : Reservation.version)
+    ~(sigmas : Hvf.sigma array) =
+  let now = t.clock () in
+  let vs =
+    { version; res_info = Reservation.res_info_of_eer eer version; sigmas; last_ts = max_int }
+  in
+  match Hashtbl.find_opt t.entries eer.key.res_id with
+  | Some e ->
+      e.versions <-
+        vs :: List.filter (fun v -> Reservation.version_valid v.version ~now) e.versions;
+      Monitor.Token_bucket.set_rate e.bucket ~rate:(Reservation.eer_bw eer ~now) ~now
+  | None ->
+      Hashtbl.replace t.entries eer.key.res_id
+        {
+          eer;
+          eer_info = Reservation.eer_info_of_eer eer;
+          versions = [ vs ];
+          bucket = Monitor.Token_bucket.create ~rate:version.bw ~burst:t.burst ~now;
+        }
+
 (** Install or extend an EER after a successful setup or renewal
     (➎ in Fig. 1b): the σ_i of the new version are expanded into CMAC
-    keys once, and the token-bucket rate follows the maximum bandwidth
-    over valid versions. *)
+    keys once. *)
 let register (t : t) ~(eer : Reservation.eer) ~(version : Reservation.version)
     ~(sigmas : bytes list) : (unit, string) result =
-  if not (Ids.equal_asn eer.key.src_as t.asn) then Error "EER does not originate here"
-  else if List.length sigmas <> Path.length eer.path then Error "wrong number of sigmas"
-  else begin
-    let now = t.clock () in
-    let res_info = Reservation.res_info_of_eer eer version in
-    let vs =
-      {
-        version;
-        res_info;
-        sigmas = Array.of_list (List.map Hvf.sigma_of_bytes sigmas);
-        last_ts = max_int;
-      }
-    in
-    (match Hashtbl.find_opt t.entries eer.key.res_id with
-    | Some e ->
-        e.versions <-
-          vs
-          :: List.filter
-               (fun v -> Reservation.version_valid v.version ~now)
-               e.versions;
-        Monitor.Token_bucket.set_rate e.bucket ~rate:(Reservation.eer_bw eer ~now) ~now
-    | None ->
-        let bucket =
-          Monitor.Token_bucket.create ~rate:version.bw ~burst:t.burst ~now
-        in
-        Hashtbl.replace t.entries eer.key.res_id
-          {
-            eer;
-            eer_info = Reservation.eer_info_of_eer eer;
-            versions = [ vs ];
-            bucket;
-          });
-    Ok ()
-  end
+  check t ~eer ~n_sigmas:(List.length sigmas)
+  |> Result.map (fun () ->
+         install t ~eer ~version
+           ~sigmas:(Array.of_list (List.map Hvf.sigma_of_bytes sigmas)))
 
-(** Bulk-load variant of {!register} taking already-expanded σ keys;
-    used by benchmarks to preload up to 2^20 reservations (Fig. 5)
-    without re-running the CMAC key schedule per entry. Semantics
-    otherwise identical to {!register}. *)
+(** {!register} with already-expanded σ keys; used by benchmarks to
+    preload up to 2^20 reservations (Fig. 5) without re-running the
+    CMAC key schedule per entry. *)
 let register_prepared (t : t) ~(eer : Reservation.eer)
     ~(version : Reservation.version) ~(sigmas : Hvf.sigma array) :
     (unit, string) result =
-  if not (Ids.equal_asn eer.key.src_as t.asn) then Error "EER does not originate here"
-  else if Array.length sigmas <> Path.length eer.path then Error "wrong number of sigmas"
-  else begin
-    let now = t.clock () in
-    let res_info = Reservation.res_info_of_eer eer version in
-    let vs = { version; res_info; sigmas; last_ts = max_int } in
-    (match Hashtbl.find_opt t.entries eer.key.res_id with
-    | Some e ->
-        e.versions <- vs :: e.versions;
-        Monitor.Token_bucket.set_rate e.bucket ~rate:(Reservation.eer_bw eer ~now) ~now
-    | None ->
-        Hashtbl.replace t.entries eer.key.res_id
-          {
-            eer;
-            eer_info = Reservation.eer_info_of_eer eer;
-            versions = [ vs ];
-            bucket = Monitor.Token_bucket.create ~rate:version.bw ~burst:t.burst ~now;
-          });
-    Ok ()
-  end
+  check t ~eer ~n_sigmas:(Array.length sigmas)
+  |> Result.map (fun () -> install t ~eer ~version ~sigmas)
 
 (** Expire an entry explicitly (e.g. periodic sweep); entries whose
     versions have all lapsed are also dropped lazily on use. *)
@@ -187,77 +166,10 @@ let sweep (t : t) =
   in
   List.iter (Hashtbl.remove t.entries) stale
 
-(** Process one packet from an end host: monitor, authorize, emit.
-    [payload_len] is the payload size in bytes; the authenticated
-    [PktSize] covers header plus payload so that header-only floods
-    remain accountable (§4.8). Returns the finished packet and the
-    egress interface of the first hop. *)
-let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
-    (Packet.t * Ids.iface, drop_reason) result =
-  let now = t.clock () in
-  match Hashtbl.find_opt t.entries res_id with
-  | None ->
-      t.stats.dropped_other <- t.stats.dropped_other + 1;
-      Obs.Counter.incr t.metrics.m_drop_unknown;
-      Error Unknown_reservation
-  | Some e -> (
-      match
-        List.find_opt (fun v -> Reservation.version_valid v.version ~now) e.versions
-      with
-      | None ->
-          Hashtbl.remove t.entries res_id;
-          t.stats.dropped_other <- t.stats.dropped_other + 1;
-          Obs.Counter.incr t.metrics.m_drop_expired;
-          Error Expired
-      | Some vs ->
-          let hops = Path.length e.eer.path in
-          let pkt_size = Packet.header_len ~hops + payload_len in
-          if not (Monitor.Token_bucket.admit e.bucket ~now ~bytes:pkt_size) then begin
-            t.stats.dropped_rate <- t.stats.dropped_rate + 1;
-            Obs.Counter.incr t.metrics.m_drop_rate;
-            Error Rate_exceeded
-          end
-          else begin
-            let ts =
-              let computed =
-                Timebase.Ts.to_int
-                  (Timebase.Ts.of_times ~exp_time:vs.res_info.exp_time ~now)
-              in
-              let unique = if computed >= vs.last_ts then vs.last_ts - 1 else computed in
-              vs.last_ts <- unique;
-              Timebase.Ts.of_int unique
-            in
-            let hvfs =
-              Array.map (fun sigma -> Hvf.eer_hvf sigma ~ts ~pkt_size) vs.sigmas
-            in
-            let packet : Packet.t =
-              {
-                kind = Packet.Eer;
-                path = e.eer.path;
-                res_info = vs.res_info;
-                eer_info = Some e.eer_info;
-                ts;
-                hvfs;
-                payload_len;
-              }
-            in
-            t.stats.sent_pkts <- t.stats.sent_pkts + 1;
-            t.stats.sent_bytes <- t.stats.sent_bytes + pkt_size;
-            Obs.Counter.incr t.metrics.m_sent_pkts;
-            Obs.Counter.add t.metrics.m_sent_bytes pkt_size;
-            Obs.Histogram.observe t.metrics.m_pkt_size (float_of_int pkt_size);
-            let egress =
-              match e.eer.path with
-              | first :: _ -> first.egress
-              | [] -> Ids.local_iface
-            in
-            Ok (packet, egress)
-          end)
-
 (* -- Zero-copy emission (DESIGN.md §8) -- *)
 
-(* First version still valid at [now], newest first — the same pick as
-   [send]'s [List.find_opt], as a plain recursion (no closure). *)
+(* First version still valid at [now], newest first, as a plain
+   recursion (no closure). *)
 (* hot-path *)
 let rec first_valid_version ~(now : Timebase.t) (versions : version_state list) :
     version_state option =
@@ -290,11 +202,12 @@ let write_hvfs (t : t) (vs : version_state) ~(ts : Timebase.Ts.t)
       ~dst_off:(off + (i * Packet.hvf_len))
   done
 
-(** {!send} without materializing a [Packet.t]: the header is encoded
-    straight into the gateway's reusable output buffer ({!out}, valid
-    until the next [send_bytes] on this gateway) and the HVFs are
-    computed in place. The bytes produced are identical to
-    [Packet.to_bytes] of the packet {!send} would have returned.
+(** Process one packet from an end host: monitor, authorize, emit.
+    [payload_len] is the payload size in bytes; the authenticated
+    [PktSize] covers header plus payload so that header-only floods
+    remain accountable (§4.8). The header is encoded straight into the
+    gateway's reusable output buffer ({!out}, valid until the next
+    [send_bytes] on this gateway) and the HVFs are computed in place.
     Returns the egress interface of the first hop. *)
 (* hot-path *)
 let send_bytes (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :

@@ -44,8 +44,9 @@ val register :
   (unit, string) result
 (** Install or extend an EER after a successful setup or renewal
     (➎ in Fig. 1b): the σ_i of the new version are expanded into CMAC
-    keys once, and the token-bucket rate follows the maximum bandwidth
-    over valid versions. *)
+    keys once, versions that have lapsed are dropped, and the
+    token-bucket rate follows the maximum bandwidth over valid
+    versions. *)
 
 val register_prepared :
   t ->
@@ -53,29 +54,25 @@ val register_prepared :
   version:Reservation.version ->
   sigmas:Hvf.sigma array ->
   (unit, string) result
-(** Bulk-load variant of {!register} taking already-expanded σ keys;
-    used by benchmarks to preload up to 2^20 reservations (Fig. 5)
-    without re-running the CMAC key schedule per entry. *)
+(** {!register} taking already-expanded σ keys; used by benchmarks to
+    preload up to 2^20 reservations (Fig. 5) without re-running the
+    CMAC key schedule per entry. *)
 
 val sweep : t -> unit
 (** Drop entries whose versions have all lapsed (also happens lazily
     on use). *)
 
-val send :
-  t -> res_id:Ids.res_id -> payload_len:int -> (Packet.t * Ids.iface, drop_reason) result
-(** Process one packet from an end host: monitor, authorize, emit.
-    Returns the finished packet and the egress interface of the first
-    hop. The authenticated [PktSize] covers header plus payload, so
-    header-only floods remain accountable (§4.8). *)
-
 val send_bytes :
   t -> res_id:Ids.res_id -> payload_len:int -> (Ids.iface, drop_reason) result
-(** {!send} without materializing a [Packet.t]: the header is encoded
-    straight into the gateway's reusable output buffer and the HVFs
-    are computed in place (DESIGN.md §8), producing bytes identical to
-    [Packet.to_bytes] of the packet {!send} would have built. On [Ok],
-    the wire header is in {!out} for {!out_len} bytes — valid only
-    until the next [send_bytes] on this gateway. *)
+(** Process one packet from an end host: monitor, authorize, emit —
+    the gateway's one per-packet path. The authenticated [PktSize]
+    covers header plus payload, so header-only floods remain
+    accountable (§4.8). On [Ok] the finished wire header is in {!out}
+    for {!out_len} bytes, encoded in place, HVFs included (DESIGN.md
+    §8); it is valid only until the next
+    [send_bytes] on this gateway, so a caller that keeps the packet
+    copies it with [Bytes.sub (out g) 0 (out_len g)]. Returns the
+    egress interface of the first hop. *)
 
 val out : t -> bytes
 (** The reusable output buffer of the last successful {!send_bytes};

@@ -69,17 +69,6 @@ let eer_hvf (s : sigma) ~(ts : Timebase.Ts.t) ~(pkt_size : int) : bytes =
   Bytes.set_int32_be b 8 (Int32.of_int pkt_size);
   Crypto.Cmac.digest_trunc s b ~len:Packet.hvf_len
 
-(** Constant-time equality for ℓ_hvf-byte fields. *)
-let equal_hvf (a : bytes) (b : bytes) : bool =
-  Bytes.length a = Packet.hvf_len
-  && Bytes.length b = Packet.hvf_len
-  &&
-  let acc = ref 0 in
-  for i = 0 to Packet.hvf_len - 1 do
-    acc := !acc lor (Char.code (Bytes.get a i) lxor Char.code (Bytes.get b i))
-  done;
-  !acc = 0
-
 (* -- Allocation-free variants over a Packet.View (DESIGN.md §8) -- *)
 
 type scratch = {

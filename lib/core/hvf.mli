@@ -54,10 +54,9 @@ val sigma_of_bytes : bytes -> sigma
 
 val eer_hvf : sigma -> ts:Timebase.Ts.t -> pkt_size:int -> bytes
 (** Eq. (6): the per-packet hop validation field
-    [MAC_{σ_i}(Ts ‖ PktSize)[0:ℓ_hvf]]. *)
-
-val equal_hvf : bytes -> bytes -> bool
-(** Constant-time equality for ℓ_hvf-byte fields. *)
+    [MAC_{σ_i}(Ts ‖ PktSize)[0:ℓ_hvf]]. Allocating: the gateway writes
+    it with {!eer_hvf_into}, and tests check that output against this
+    reference. *)
 
 (** {1 Allocation-free variants over a [Packet.View] (DESIGN.md §8)} *)
 

@@ -37,9 +37,6 @@ type t = {
   payload_len : int; (* payload carried (bytes); contents are opaque here *)
 }
 
-let res_key (p : t) : Ids.res_key =
-  { src_as = p.res_info.src_as; res_id = p.res_info.res_id }
-
 (** Hop-validation-field length ℓ_hvf (§4.5): 4 bytes, as in the
     paper; short static MACs are acceptable given the short lifetime of
     reservations. *)
@@ -397,7 +394,7 @@ module View = struct
 end
 
 let pp ppf (p : t) =
-  Fmt.pf ppf "@[<h>%s %a bw=%a exp=%a v%d %a len=%d@]"
+  Fmt.pf ppf "@[<h>%s %a#%d bw=%a exp=%a v%d %a len=%d@]"
     (match p.kind with Seg -> "SEG" | Eer -> "EER")
-    Ids.pp_res_key (res_key p) Bandwidth.pp p.res_info.bw Timebase.pp
+    Ids.pp_asn p.res_info.src_as p.res_info.res_id Bandwidth.pp p.res_info.bw Timebase.pp
     p.res_info.exp_time p.res_info.version Timebase.Ts.pp p.ts p.payload_len

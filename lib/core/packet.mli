@@ -45,10 +45,6 @@ type t = {
   payload_len : int;
 }
 
-val res_key : t -> Ids.res_key
-(** The packet's globally unique reservation identity
-    [(SrcAS, ResId)]. *)
-
 val hvf_len : int
 (** ℓ_hvf = 4 bytes (§4.5): short static MACs are acceptable given the
     short lifetime of reservations. *)

@@ -213,15 +213,6 @@ let watch (t : t) ~(key : Ids.res_key) ~(rate : Bandwidth.t) =
   Ids.Res_key_tbl.replace t.watched key
     (Monitor.Token_bucket.create ~rate ~burst:0.1 ~now:(t.clock ()))
 
-(* Locate this AS's hop and its index on the packet path. *)
-let own_hop (t : t) (path : Path.t) : (int * Path.hop) option =
-  let rec go i = function
-    | [] -> None
-    | (h : Path.hop) :: rest ->
-        if Ids.equal_asn h.asn t.asn then Some (i, h) else go (i + 1) rest
-  in
-  go 0 path
-
 let confirm_overuse (t : t) ~(src : Ids.asn) =
   t.stats.confirmed_overuse <- t.stats.confirmed_overuse + 1;
   Obs.Counter.incr t.metrics.m_confirmed;
@@ -231,7 +222,7 @@ let confirm_overuse (t : t) ~(src : Ids.asn) =
 (* Deterministic policing of flagged suspects: limit the flow to its
    reserved bandwidth (Table 2, phase 3). True when the packet must be
    dropped; tracks the drop count that turns a suspect into confirmed
-   overuse. Shared by the record-based and view-based paths. *)
+   overuse. *)
 let police (t : t) ~(now : Timebase.t) ~(key : Ids.res_key) ~(actual_size : int) :
     bool =
   match Ids.Res_key_tbl.find_opt t.watched key with
@@ -249,10 +240,9 @@ let police (t : t) ~(now : Timebase.t) ~(key : Ids.res_key) ~(actual_size : int)
 
 (* Duplicate-filter key: the fields that make a packet unique (§4.3:
    SrcAS, ResId, Ts, plus the size its HVF covers), folded into 62 bits
-   by odd multiplies and xorshifts over the unboxed ints. Shared by the
-   record and the [View] path so both index the same Bloom positions;
-   allocation-free, and not cryptographic: a collision costs one
-   false-positive drop. *)
+   by odd multiplies and xorshifts over the unboxed ints. Allocation-
+   free, and not cryptographic: a collision costs one false-positive
+   drop. *)
 let dup_step h x =
   let h = (h lxor x) * 0x2545f4914f6cdd1d in
   h lxor (h lsr 29)
@@ -260,110 +250,6 @@ let dup_step h x =
 let dup_key ~isd ~num ~res_id ~ts ~size =
   dup_step (dup_step (dup_step (dup_step (dup_step 0 isd) num) res_id) ts) size
   land max_int
-
-(** Validate and route one already-parsed packet whose true wire size
-    is [actual_size] bytes. The HVF authenticates [PktSize], so a
-    mismatch between declared and actual size fails validation. *)
-let process (t : t) ~(packet : Packet.t) ~(actual_size : int) :
-    (action, drop_reason) result =
-  let now = t.clock () in
-  let drop r =
-    t.stats.dropped <- t.stats.dropped + 1;
-    Obs.Counter.incr t.metrics.m_dropped.(drop_index r);
-    Error r
-  in
-  let ri = packet.res_info in
-  if Monitor.Blocklist.is_blocked t.blocklist ri.src_as then drop Blocked_source
-  else begin
-    match own_hop t packet.path with
-    | None -> drop Not_on_path
-    | Some (i, hop) ->
-        (* Expiry: reservation must still be valid (± clock skew). *)
-        if now > ri.exp_time +. Timebase.max_skew then drop Expired_reservation
-        else begin
-          (* Freshness: the timestamp must lie within the window that
-             covers clock skew plus maximum forwarding delay. *)
-          let sent = Timebase.Ts.to_time ~exp_time:ri.exp_time packet.ts in
-          if Float.abs (now -. sent) > t.freshness_window then drop Stale_timestamp
-          else begin
-            (* HVF validation decides the packet class once; an EER
-               packet without EERInfo cannot authenticate (EERInfo is
-               part of the Eq. (4) MAC input), so the routing arms
-               below never face a missing destination host. *)
-            let checked =
-              match packet.kind with
-              | Packet.Seg ->
-                  if
-                    Hvf.equal_hvf packet.hvfs.(i)
-                      (Hvf.seg_token t.secret ~res_info:ri ~hop)
-                  then `Seg
-                  else `Bad
-              | Packet.Eer -> (
-                  match packet.eer_info with
-                  | None -> `Bad
-                  | Some eer_info ->
-                      let sigma =
-                        Hvf.sigma_of_bytes
-                          (Hvf.hop_auth t.secret ~res_info:ri ~eer_info ~hop)
-                      in
-                      if
-                        Hvf.equal_hvf packet.hvfs.(i)
-                          (Hvf.eer_hvf sigma ~ts:packet.ts ~pkt_size:actual_size)
-                      then `Eer eer_info
-                      else `Bad)
-            in
-            match checked with
-            | `Bad -> drop Invalid_hvf
-            | (`Seg | `Eer _) as cls ->
-                let key = Packet.res_key packet in
-                (* Replay suppression [32]: all copies of a seen packet
-                   are discarded. *)
-                let fresh =
-                  match t.duplicates with
-                  | None -> true
-                  | Some f ->
-                      Monitor.Duplicate_filter.check_and_insert f ~now
-                        (dup_key ~isd:key.src_as.isd ~num:key.src_as.num
-                           ~res_id:key.res_id
-                           ~ts:(Timebase.Ts.to_int packet.ts)
-                           ~size:actual_size)
-                in
-                if not fresh then drop Duplicate
-                else if police t ~now ~key ~actual_size then drop Policed
-                else begin
-                  (* Probabilistic monitoring over all EER flows. *)
-                  (match (cls, t.ofd) with
-                  | `Eer _, Some ofd ->
-                      (* The bandwidth as the wire carries it (clamped
-                         and rounded, as [Gateway] encodes it), so both
-                         paths feed the sketch the same normalized size. *)
-                      let bw_bps =
-                        int_of_float (Float.round (Bandwidth.to_bps (Bandwidth.clamp ri.bw)))
-                      in
-                      (match
-                         Monitor.Ofd.observe ofd ~now ~isd:key.src_as.isd
-                           ~num:key.src_as.num ~res_id:key.res_id
-                           ~bits:(8 * actual_size) ~bw_bps
-                       with
-                      | `Suspect ->
-                          t.stats.suspects_flagged <- t.stats.suspects_flagged + 1;
-                          Obs.Counter.incr t.metrics.m_suspects;
-                          if not (Ids.Res_key_tbl.mem t.watched key) then
-                            Ids.Res_key_tbl.replace t.watched key
-                              (Monitor.Token_bucket.create ~rate:ri.bw ~burst:0.1 ~now)
-                      | `Ok -> ())
-                  | _ -> ());
-                  t.stats.forwarded <- t.stats.forwarded + 1;
-                  Obs.Counter.incr t.metrics.m_forwarded;
-                  match cls with
-                  | `Seg -> Ok To_cserv
-                  | `Eer eer_info ->
-                      if hop.egress = Ids.local_iface then Ok (Deliver eer_info.dst_host)
-                      else Ok (Forward hop.egress)
-                end
-          end
-        end
-  end
 
 (* Own-hop scan directly on the view: index of this AS on the path, or
    -1. A loop over unboxed int accessors — no hop records, no list. *)
@@ -374,13 +260,12 @@ let rec own_hop_view (v : Packet.View.t) ~(isd : int) ~(num : int) ~(hops : int)
   else if Packet.View.hop_isd v i = isd && Packet.View.hop_num v i = num then i
   else own_hop_view v ~isd ~num ~hops (i + 1)
 
-(* The validation pipeline of [process], re-expressed over the parsed
-   view: blocklist → own-hop scan → expiry → freshness → HVF →
-   monitors → route. Same checks, same order, same drop accounting —
-   but field reads are unboxed, MACs run in the per-router scratch, and
-   monitor-state lookups that need key records are gated on occupancy,
-   so a valid SegR packet on a bare router allocates nothing at all
-   (the zero-minor-words regression test holds this). *)
+(* The validation pipeline over the parsed view: blocklist → own-hop
+   scan → expiry → freshness → HVF → monitors → route. Field reads are
+   unboxed, MACs run in the per-router scratch, and monitor-state
+   lookups that need key records are gated on occupancy, so a valid
+   SegR packet on a bare router allocates nothing at all (the
+   zero-minor-words regression test holds this). *)
 (* hot-path *)
 let process_view (t : t) ~(actual_size : int) : (action, drop_reason) result =
   let v = t.view in
@@ -425,9 +310,7 @@ let process_view (t : t) ~(actual_size : int) : (action, drop_reason) result =
           if not hvf_ok then drop Invalid_hvf
           else begin
             (* Replay suppression [32]: all copies of a seen packet are
-               discarded. [dup_key] over the same fields as the
-               record-based path, so both paths index the same Bloom
-               positions for the same packet. *)
+               discarded. *)
             let fresh =
               match t.duplicates with
               | None -> true

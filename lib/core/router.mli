@@ -84,12 +84,11 @@ val watch : t -> key:Ids.res_key -> rate:Bandwidth.t -> unit
     monitoring at its reserved rate — the state a flagged suspect ends
     up in (§4.8); Table 2's phase 3 pre-installs this. *)
 
-val process : t -> packet:Packet.t -> actual_size:int -> (action, drop_reason) result
-(** Validate and route one already-parsed packet whose true wire size
-    is [actual_size] bytes. The HVF authenticates [PktSize], so a
-    mismatch between declared and actual size fails validation. *)
-
 val process_bytes : t -> raw:bytes -> payload_len:int -> (action, drop_reason) result
-(** Full fast path from raw bytes: parse, validate, route — what a
-    border router executes per packet (§7.1 measures this end to
-    end). *)
+(** Parse, validate and route one packet whose header is [raw] and
+    whose payload is [payload_len] bytes — the router's one per-packet
+    path, what a border router executes per packet (§7.1 measures this
+    end to end). The HVF authenticates [PktSize], so a [payload_len]
+    that differs from the one the gateway stamped fails validation.
+    Validation runs on the router's reusable {!Packet.View}: after
+    warm-up a valid SegR packet allocates nothing. *)

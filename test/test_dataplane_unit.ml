@@ -68,9 +68,9 @@ let gateway_unique_timestamps () =
   | Error e -> Alcotest.fail e);
   let seen = Hashtbl.create 64 in
   for _ = 1 to 50 do
-    match Gateway.send gw ~res_id:1 ~payload_len:0 with
-    | Ok (pkt, _) ->
-        let ts = Timebase.Ts.to_int pkt.Packet.ts in
+    match Test_dataplane.emit gw ~res_id:1 ~payload_len:0 with
+    | Ok raw ->
+        let ts = Timebase.Ts.to_int (Result.get_ok (Packet.of_bytes raw)).ts in
         Alcotest.(check bool) "fresh ts" false (Hashtbl.mem seen ts);
         Hashtbl.replace seen ts ()
     | Error e -> Alcotest.failf "send: %a" Gateway.pp_drop_reason e
@@ -80,8 +80,8 @@ let gateway_stats_track () =
   let gw = Gateway.create ~clock:(fun () -> 0.) (asn 1) in
   let eer = mk_eer ~versions:[ v 1 16. ] () in
   ignore (Gateway.register gw ~eer ~version:(v 1 16.) ~sigmas:sigmas2);
-  ignore (Gateway.send gw ~res_id:1 ~payload_len:100);
-  ignore (Gateway.send gw ~res_id:77 ~payload_len:100);
+  ignore (Gateway.send_bytes gw ~res_id:1 ~payload_len:100);
+  ignore (Gateway.send_bytes gw ~res_id:77 ~payload_len:100);
   let st = Gateway.stats gw in
   Alcotest.(check int) "sent" 1 st.sent_pkts;
   Alcotest.(check int) "dropped other" 1 st.dropped_other
@@ -89,6 +89,10 @@ let gateway_stats_track () =
 (* -- Router unit tests -- *)
 
 let secret = Hvf.as_secret_of_material (Bytes.make 16 'K')
+
+(* Validate and route a hand-built packet from its wire encoding. *)
+let process r (p : Packet.t) =
+  Router.process_bytes r ~raw:(Packet.to_bytes p) ~payload_len:p.payload_len
 
 let seg_packet () : Packet.t =
   let res_info : Packet.res_info =
@@ -110,7 +114,7 @@ let router_routes_seg_to_cserv () =
   let now = ref 299. in
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> !now) (asn 2) in
   let pkt = seg_packet () in
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Ok Router.To_cserv -> ()
   | Ok _ -> Alcotest.fail "SegR packet not routed to CServ"
   | Error e -> Alcotest.failf "dropped: %a" Router.pp_drop_reason e
@@ -119,7 +123,7 @@ let router_seg_bad_token_dropped () =
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> 299.) (asn 2) in
   let pkt = seg_packet () in
   pkt.hvfs.(1) <- Bytes.make 4 'z';
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Error Router.Invalid_hvf -> ()
   | _ -> Alcotest.fail "bad SegR token accepted"
 
@@ -146,7 +150,7 @@ let eer_packet ~now : Packet.t =
 let router_delivers_at_last_hop () =
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> 0.) (asn 2) in
   let pkt = eer_packet ~now:0. in
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Ok (Router.Deliver h) -> Alcotest.(check int) "to dst host" 2 h.addr
   | Ok _ -> Alcotest.fail "expected Deliver"
   | Error e -> Alcotest.failf "dropped: %a" Router.pp_drop_reason e
@@ -163,11 +167,11 @@ let router_freshness_boundary () =
   in
   let pkt = eer_packet ~now:0. in
   now := w -. 0.01;
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match process r pkt with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fresh packet dropped: %a" Router.pp_drop_reason e);
   now := w +. 0.01;
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Error Router.Stale_timestamp -> ()
   | _ -> Alcotest.fail "stale packet accepted"
 
@@ -190,7 +194,7 @@ let router_watch_installs_bucket () =
            ~eer_info:(Option.get p.eer_info) ~hop)
     in
     p.hvfs.(1) <- Hvf.eer_hvf sigma ~ts:p.ts ~pkt_size:(Packet.wire_size p);
-    match Router.process r ~packet:p ~actual_size:(Packet.wire_size p) with
+    match process r p with
     | Error Router.Policed -> incr policed
     | _ -> ()
   done;

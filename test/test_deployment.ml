@@ -206,9 +206,9 @@ let lookup_offers_no_expired_segr () =
 
 (* The rig's three SegRs, kept alive by the renewal machine over an
    attached network. *)
-let managed_rig () =
+let managed_rig ?faults () =
   let d, up, core, down = rig () in
-  Deployment.attach_network d;
+  Deployment.attach_network ?faults d;
   List.iter
     (fun ((s : Reservation.segr), max_bw) ->
       ignore
@@ -224,6 +224,43 @@ let lookup_follows_renewed_segrs () =
   Deployment.advance d 400.;
   Alcotest.(check bool) "route S→D at 400 s" true
     (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d <> [])
+
+(* A managed down-SegR that lapses and recovers under a new key is
+   shared again. Its initiator W1 is down from 200 s to 320 s, so the
+   renewals fail, the SegR lapses at 300 s, and the recovery sets up a
+   fresh one that the leaf's lookup must find. *)
+let recovered_down_segr_shared_again () =
+  let faults = Net.Fault.create ~seed:1 () in
+  Net.Fault.crash_server faults ~asn:G.w1 ~at:200. ~duration:120.;
+  let d = managed_rig ~faults () in
+  Deployment.advance d 400.;
+  Alcotest.(check bool) "route S→D at 400 s" true
+    (Deployment.lookup_eer_routes d ~src:G.s ~dst:G.d <> [])
+
+(* The leaf's key list tracks the live down-SegRs, not their history:
+   200 down-SegRs requested one after another, each left to lapse,
+   leave at most the live one plus the one just recorded. *)
+let shared_keys_track_live_segrs () =
+  let d = Deployment.create (Topology_gen.two_isd ()) in
+  let down = List.hd (Segments.Db.down_segments (Deployment.seg_db d) ~dst:G.d) in
+  for _ = 1 to 200 do
+    ignore
+      (Result.get_ok
+         (Deployment.request_down_segr d ~path:down.Segments.path ~max_bw:(mbps 10.)
+            ~min_bw:(mbps 1.)));
+    Deployment.advance d (Reservation.segr_lifetime +. 1.)
+  done;
+  let live =
+    List.length
+      (List.filter
+         (fun (k : Ids.res_key) ->
+           Option.is_some
+             (Cserv.live_segr (Deployment.cserv d k.src_as) ~requester:G.d k))
+         (Cserv.shared_segrs (Deployment.cserv d G.d) ~dst:G.d))
+  in
+  let held = List.length (Cserv.shared_segrs (Deployment.cserv d G.d) ~dst:G.d) in
+  Alcotest.(check bool) (Printf.sprintf "%d keys held, %d live" held live) true
+    (held <= live + 1)
 
 (* Managed EERs over three managed SegRs keep delivering up to three
    SegR lifetimes without giving up: one opened at 0 s, and one opened
@@ -484,6 +521,10 @@ let suite =
       managed_eers_over_managed_segrs;
     Alcotest.test_case "SegR whitelist checked against the source (App. C)" `Quick
       whitelist_checked_against_source;
+    Alcotest.test_case "recovered down-SegR is shared again (App. C)" `Quick
+      recovered_down_segr_shared_again;
+    Alcotest.test_case "shared key lists track live SegRs (App. C)" `Quick
+      shared_keys_track_live_segrs;
     Alcotest.test_case "recovery budget counts recoveries only" `Quick
       recovery_budget_counts_recoveries_only;
   ]

@@ -128,9 +128,13 @@ let prop_forged_packets_never_traverse =
       with
       | Error _ -> QCheck2.assume_fail ()
       | Ok eer -> (
-          match Gateway.send (Deployment.gateway d src) ~res_id:eer.key.res_id ~payload_len:0 with
+          match
+            Test_dataplane.emit (Deployment.gateway d src) ~res_id:eer.key.res_id
+              ~payload_len:0
+          with
           | Error _ -> false
-          | Ok (pkt, _) ->
+          | Ok raw ->
+              let pkt = Result.get_ok (Packet.of_bytes raw) in
               (* Corrupt one byte of a middle hop's HVF. *)
               let i = Array.length pkt.Packet.hvfs / 2 in
               let hvf = Bytes.copy pkt.Packet.hvfs.(i) in

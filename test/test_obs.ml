@@ -220,13 +220,13 @@ let mixed_workload_populates_metrics () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  (match Gateway.send gw ~res_id:1 ~payload_len:100 with
+  (match Gateway.send_bytes gw ~res_id:1 ~payload_len:100 with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "clean send dropped: %a" Gateway.pp_drop_reason e);
-  (match Gateway.send gw ~res_id:777 ~payload_len:100 with
+  (match Gateway.send_bytes gw ~res_id:777 ~payload_len:100 with
   | Error Gateway.Unknown_reservation -> ()
   | _ -> Alcotest.fail "unknown ResId not dropped");
-  (match Gateway.send gw ~res_id:1 ~payload_len:20_000 with
+  (match Gateway.send_bytes gw ~res_id:1 ~payload_len:20_000 with
   | Error Gateway.Rate_exceeded -> ()
   | _ -> Alcotest.fail "rate bust not dropped");
   let gs = Obs.Registry.snapshot (Gateway.metrics gw) in
@@ -244,15 +244,15 @@ let mixed_workload_populates_metrics () =
      replay, a corrupted HVF, and a truncated frame. *)
   let r = Router.create ~secret ~clock:(fun () -> 0.) (asn 2) in
   let pkt = eer_packet ~now:0. ~payload_len:10 in
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match Test_dataplane_unit.process r pkt with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "valid packet dropped: %a" Router.pp_drop_reason e);
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match Test_dataplane_unit.process r pkt with
   | Error Router.Duplicate -> ()
   | _ -> Alcotest.fail "replay not dropped");
   let bad = eer_packet ~now:0. ~payload_len:20 in
   bad.hvfs.(1) <- Bytes.make 4 'z';
-  (match Router.process r ~packet:bad ~actual_size:(Packet.wire_size bad) with
+  (match Test_dataplane_unit.process r bad with
   | Error Router.Invalid_hvf -> ()
   | _ -> Alcotest.fail "bad HVF not dropped");
   (match Router.process_bytes r ~raw:(Bytes.make 3 '\000') ~payload_len:0 with

@@ -145,8 +145,10 @@ let eer_hvf_properties () =
     (Bytes.equal v (Hvf.eer_hvf sigma ~ts:(Timebase.Ts.of_int 501) ~pkt_size:1200));
   Alcotest.(check bool) "size sensitivity" false
     (Bytes.equal v (Hvf.eer_hvf sigma ~ts ~pkt_size:1201));
-  Alcotest.(check bool) "equal_hvf" true (Hvf.equal_hvf v (Bytes.copy v));
-  Alcotest.(check bool) "equal_hvf length check" false (Hvf.equal_hvf v (Bytes.make 3 'x'))
+  Alcotest.(check bool) "equal_hvf_at" true
+    (Hvf.equal_hvf_at v ~a_off:0 (Bytes.copy v) ~b_off:0);
+  Alcotest.(check bool) "equal_hvf_at length check" false
+    (Hvf.equal_hvf_at v ~a_off:0 (Bytes.make 3 'x') ~b_off:0)
 
 let sigma_seal_open () =
   let aead = Crypto.Aead.of_secret (Bytes.make 16 'd') in

@@ -2,11 +2,13 @@
 
     [Packet.View] re-implements the header decoder as validated cursor
     accessors over the raw buffer; these properties pin it to the
-    legacy [Packet.of_bytes] record decoder — same accept/reject
+    reference [Packet.of_bytes] record decoder — same accept/reject
     verdict on arbitrary (also corrupted) buffers, identical field
-    values on accept — and GC regression tests assert that the warmed
-    router fast path allocates nothing, and the monitored one nothing
-    beyond its verdict. *)
+    values on accept. The gateway's [send_bytes] output is checked
+    against that decoder and the allocating [Hvf] MACs. GC regression
+    tests assert that the warmed router fast path allocates nothing,
+    the monitored one nothing beyond its verdict, and the gateway no
+    more than its pinned ceiling. *)
 
 open Colibri_types
 open Colibri
@@ -244,66 +246,113 @@ let monitored_router_alloc () =
     Alcotest.failf "monitored router allocated %.0f minor words over %d packets"
       delta n
 
-(* ---------- Gateway wire path: send_bytes ≡ send, byte for byte ----- *)
+(* ---------- Gateway wire path against the reference decoder -------- *)
 
-let gateway_pair () =
-  let mk () =
-    let gw = Gateway.create ~burst:1e12 ~clock:(fun () -> 0.) (Ids.asn ~isd:1 ~num:1) in
-    let path =
-      [
-        Path.hop ~asn:(Ids.asn ~isd:1 ~num:1) ~ingress:0 ~egress:2;
-        Path.hop ~asn:(Ids.asn ~isd:1 ~num:2) ~ingress:1 ~egress:0;
-      ]
-    in
-    let sigmas =
-      Array.init 2 (fun i -> Hvf.sigma_of_bytes (Bytes.make 16 (Char.chr (65 + i))))
-    in
-    let version : Reservation.version =
-      { version = 1; bw = Bandwidth.of_gbps 100.; exp_time = 1e9 }
-    in
-    let eer : Reservation.eer =
-      {
-        key = { src_as = Ids.asn ~isd:1 ~num:1; res_id = 5 };
-        path;
-        src_host = Ids.host 1;
-        dst_host = Ids.host 2;
-        segr_keys = [];
-        versions = [ version ];
-      }
-    in
-    (match Gateway.register_prepared gw ~eer ~version ~sigmas with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e);
-    gw
-  in
-  (mk (), mk ())
+(* A gateway at the probe path's source holding one reservation whose
+   three σ's are distinct, so a σ written at the wrong hop shows. *)
+let probe_sigmas = List.init 3 (fun i -> Bytes.make 16 (Char.chr (65 + i)))
 
-let gateway_send_bytes_differential () =
-  let legacy, zero_copy = gateway_pair () in
-  (* Lockstep sends: both gateways share the constant clock, so their
-     monotonic timestamp sequences coincide and the encodings must be
-     byte-identical. *)
+let probe_version : Reservation.version =
+  { version = 3; bw = Bandwidth.of_gbps 100.; exp_time = 1e9 }
+
+let probe_eer : Reservation.eer =
+  {
+    key = { src_as = Ids.asn ~isd:1 ~num:1; res_id = 5 };
+    path = probe_path;
+    src_host = Ids.host 1;
+    dst_host = Ids.host 2;
+    segr_keys = [];
+    versions = [ probe_version ];
+  }
+
+let probe_gateway () =
+  let gw = Gateway.create ~burst:1e12 ~clock:(fun () -> 0.) (Ids.asn ~isd:1 ~num:1) in
+  (match
+     Gateway.register gw ~eer:probe_eer ~version:probe_version ~sigmas:probe_sigmas
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  gw
+
+(* [send_bytes]' output, decoded by [Packet.of_bytes], carries every
+   field of the registered reservation, a strictly decreasing Ts, and
+   at each hop i the HVF that the allocating reference MAC computes
+   from σ_i over that Ts and the full packet size (Eq. (6)). *)
+let gateway_send_bytes_reference () =
+  let gw = probe_gateway () in
+  let hops = List.length probe_path in
+  let last_ts = ref max_int in
   List.iteri
-    (fun i payload_len ->
-      match
-        ( Gateway.send legacy ~res_id:5 ~payload_len,
-          Gateway.send_bytes zero_copy ~res_id:5 ~payload_len )
-      with
-      | Ok (pkt, eg1), Ok eg2 ->
-          Alcotest.(check int) (Printf.sprintf "egress %d" i) eg1 eg2;
-          let reference = Packet.to_bytes pkt in
-          let out = Bytes.sub (Gateway.out zero_copy) 0 (Gateway.out_len zero_copy) in
-          Alcotest.(check string)
-            (Printf.sprintf "wire bytes %d" i)
-            (Bytes.to_string reference) (Bytes.to_string out)
-      | _ -> Alcotest.fail "send disagreement")
+    (fun n payload_len ->
+      let what field = Printf.sprintf "packet %d: %s" n field in
+      match Gateway.send_bytes gw ~res_id:5 ~payload_len with
+      | Error e -> Alcotest.failf "%s" (what (Fmt.str "%a" Gateway.pp_drop_reason e))
+      | Ok egress -> (
+          Alcotest.(check int) (what "egress") 2 egress;
+          let raw = Bytes.sub (Gateway.out gw) 0 (Gateway.out_len gw) in
+          Alcotest.(check int) (what "header length") (Packet.header_len ~hops)
+            (Bytes.length raw);
+          match Packet.of_bytes raw with
+          | Error e -> Alcotest.failf "%s" (what (Fmt.str "%a" Packet.pp_parse_error e))
+          | Ok q ->
+              Alcotest.(check bool) (what "kind") true (q.kind = Packet.Eer);
+              Alcotest.(check bool) (what "path") true (q.path = probe_path);
+              Alcotest.(check bool) (what "res_info") true
+                (q.res_info
+                = {
+                    src_as = probe_eer.key.src_as;
+                    res_id = probe_eer.key.res_id;
+                    bw = probe_version.bw;
+                    exp_time = probe_version.exp_time;
+                    version = probe_version.version;
+                  });
+              Alcotest.(check bool) (what "eer_info") true
+                (q.eer_info
+                = Some { src_host = probe_eer.src_host; dst_host = probe_eer.dst_host });
+              Alcotest.(check int) (what "payload_len") payload_len q.payload_len;
+              let ts = Timebase.Ts.to_int q.ts in
+              Alcotest.(check bool) (what "Ts strictly decreasing") true (ts < !last_ts);
+              last_ts := ts;
+              let pkt_size = Packet.header_len ~hops + payload_len in
+              List.iteri
+                (fun i material ->
+                  Alcotest.(check string)
+                    (what (Printf.sprintf "HVF %d" i))
+                    (Bytes.to_string
+                       (Hvf.eer_hvf (Hvf.sigma_of_bytes material) ~ts:q.ts ~pkt_size))
+                    (Bytes.to_string q.hvfs.(i)))
+                probe_sigmas))
     [ 0; 1500; 0; 9000; 64 ]
 
 let gateway_send_bytes_drops () =
-  let _, gw = gateway_pair () in
+  let gw = probe_gateway () in
   match Gateway.send_bytes gw ~res_id:999 ~payload_len:0 with
   | Error Gateway.Unknown_reservation -> ()
   | _ -> Alcotest.fail "expected Unknown_reservation"
+
+(* The warmed gateway on the probe reservation (3 hops, empty payload)
+   allocates 37 minor words per packet: the ceiling, which may only
+   fall. The slack is the one of the router pins above. *)
+let gateway_words = 37
+
+let gateway_alloc () =
+  let gw = probe_gateway () in
+  let run () =
+    match Gateway.send_bytes gw ~res_id:5 ~payload_len:0 with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "probe packet dropped"
+  in
+  for _ = 1 to 1_000 do
+    run ()
+  done;
+  let before = Gc.minor_words () in
+  let n = 10_000 in
+  for _ = 1 to n do
+    run ()
+  done;
+  let delta = Gc.minor_words () -. before in
+  if delta > float_of_int (gateway_words * n) +. 64. then
+    Alcotest.failf "gateway allocated %.0f minor words over %d packets" delta n
 
 let suite =
   [
@@ -313,8 +362,10 @@ let suite =
       router_fast_path_zero_alloc;
     Alcotest.test_case "monitored router: 4 minor words/packet (the verdict)" `Quick
       monitored_router_alloc;
-    Alcotest.test_case "gateway send_bytes ≡ send (byte-identical)" `Quick
-      gateway_send_bytes_differential;
+    Alcotest.test_case "gateway send_bytes ≡ reference decoder and MAC" `Quick
+      gateway_send_bytes_reference;
     Alcotest.test_case "gateway send_bytes drop verdicts" `Quick
       gateway_send_bytes_drops;
+    Alcotest.test_case "gateway: minor words/packet at most today's" `Quick
+      gateway_alloc;
   ]

@@ -68,7 +68,7 @@ let taint_sources =
 
 let taint_sanitizers =
   SS.of_list
-    [ "Cmac.verify"; "Cmac.verify_at"; "Hvf.equal_hvf"; "Hvf.equal_hvf_at"; "Hvf.seg_check"; "Hvf.eer_check" ]
+    [ "Cmac.verify"; "Cmac.verify_at"; "Hvf.equal_hvf_at"; "Hvf.seg_check"; "Hvf.eer_check" ]
 
 (* Membership that tolerates a leading qualifier: a scan that never
    loaded the crypto cmts does not know [Crypto] is a wrapper alias, so
@@ -541,7 +541,7 @@ let d5_node (ctx : ctx) (node : node) ~(emit : Finding.t -> unit) : unit =
     in
     (* A binding is tainted only when a digest is its VALUE — a source
        application (or tainted ident) in result position. Merely
-       containing one is not enough: [let ok = Hvf.equal_hvf x (digest ...)]
+       containing one is not enough: [let ok = Hvf.equal_hvf_at x ... (digest ...) ...]
        binds the comparison's boolean, not the digest. *)
     let rec result_taints (e : expression) : bool =
       match e.exp_desc with
@@ -574,7 +574,7 @@ let d5_node (ctx : ctx) (node : node) ~(emit : Finding.t -> unit) : unit =
                  ~line:cond.exp_loc.loc_start.pos_lnum ~rule:"d5"
                  ~message:
                    "secret-derived digest flows into a branch condition; compare through \
-                    Cmac.verify / Hvf.equal_hvf (constant time)")
+                    Cmac.verify / Hvf.equal_hvf_at (constant time)")
       | Texp_match (scrut, _, _) ->
           if
             contains_taint scrut
@@ -585,7 +585,7 @@ let d5_node (ctx : ctx) (node : node) ~(emit : Finding.t -> unit) : unit =
                  ~line:scrut.exp_loc.loc_start.pos_lnum ~rule:"d5"
                  ~message:
                    "secret-derived digest is matched on; compare through Cmac.verify / \
-                    Hvf.equal_hvf (constant time)")
+                    Hvf.equal_hvf_at (constant time)")
       | _ -> ());
       super.expr sub e
     in

@@ -29,7 +29,7 @@
     - [d5] — constant-time discipline: an intra-function taint pass;
       a digest produced by [Cmac.digest]/[Hvf.seg_token]/... must not
       reach an [if] condition or [match] scrutinee except through the
-      constant-time sanitizers ([Cmac.verify], [Hvf.equal_hvf], ...).
+      constant-time sanitizers ([Cmac.verify], [Hvf.equal_hvf_at], ...).
       Files under [crypto/] implement the primitives and are exempt.
 
     Hot roots are bindings that begin within three lines of a
